@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -52,6 +53,10 @@ class ScenarioFormatError(ValueError):
 
 # -- JSON helpers --------------------------------------------------------------
 
+CONFIG_FIELDS = {"gamma": float, "alpha": float, "h_max": int, "path_loss_exponent": float, "tie_break": str}
+# Older scenario files name the only scan order there is; any other value is rejected.
+LEGACY_TIE_BREAK = "index"
+
 
 def _num(value: float) -> float | str:
     if math.isinf(value):
@@ -81,20 +86,24 @@ def scenario_from_dict(raw: Any) -> Scenario:
     if not isinstance(config_raw, dict):
         issues.append(ValidationIssue("config", "missing or not an object"))
     else:
-        known = {"gamma", "alpha", "h_max", "path_loss_exponent", "tie_break"}
-        for key in config_raw:
-            if key not in known:
+        typed: dict[str, Any] = {}
+        for key, value in config_raw.items():
+            if key not in CONFIG_FIELDS:
                 issues.append(ValidationIssue(f"config.{key}", "unknown field"))
-        gamma = config_raw.get("gamma")
-        if gamma is None:
+            elif key == "gamma" and value is None:
+                continue  # reported as required below
+            elif _expect(value, CONFIG_FIELDS[key], f"config.{key}", issues):
+                typed[key] = value
+        if config_raw.get("gamma") is None:
             issues.append(ValidationIssue("config.gamma", "required"))
-        elif _expect(gamma, float, "config.gamma", issues):
+        if typed.get("tie_break", LEGACY_TIE_BREAK) != LEGACY_TIE_BREAK:
+            issues.append(ValidationIssue("config.tie_break", f"unknown policy {typed['tie_break']!r}"))
+        if not issues:
             config = GameConfig(
-                gamma=float(gamma),
-                alpha=float(config_raw.get("alpha", 1.0)),
-                h_max=config_raw.get("h_max", 5),
-                path_loss_exponent=float(config_raw.get("path_loss_exponent", 2.0)),
-                tie_break=config_raw.get("tie_break", "index"),
+                gamma=float(typed["gamma"]),
+                alpha=float(typed.get("alpha", 1.0)),
+                h_max=typed.get("h_max", 5),
+                path_loss_exponent=float(typed.get("path_loss_exponent", 2.0)),
             )
 
     nodes: list[Node] = []
@@ -170,7 +179,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "alpha": cfg.alpha,
             "h_max": cfg.h_max,
             "path_loss_exponent": cfg.path_loss_exponent,
-            "tie_break": cfg.tie_break,
         },
         "nodes": [
             {
@@ -498,16 +506,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = []
     for gamma in gammas:
-        swept = Scenario(
-            nodes=scenario.nodes,
-            config=GameConfig(
-                gamma=gamma,
-                alpha=scenario.config.alpha,
-                h_max=scenario.config.h_max,
-                path_loss_exponent=scenario.config.path_loss_exponent,
-                tie_break=scenario.config.tie_break,
-            ),
-        )
+        swept = Scenario(nodes=scenario.nodes, config=dataclasses.replace(scenario.config, gamma=gamma))
         report = criteria_mod.criteria_report(swept)
         for seed in range(args.seeds):
             topology, trace = best_response_dynamics(swept, seed=seed, max_moves=args.max_moves)
@@ -542,6 +541,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name, str(default))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="linkform",
@@ -549,9 +556,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    env_seed = int(os.environ.get("LINKFORM_SEED", "0"))
+    try:
+        env_seed = _env_int("LINKFORM_SEED", 0)
+        env_max_moves = _env_int("LINKFORM_MAX_MOVES", DEFAULT_MAX_MOVES)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     env_out = os.environ.get("LINKFORM_OUT", "out")
-    env_max_moves = int(os.environ.get("LINKFORM_MAX_MOVES", str(DEFAULT_MAX_MOVES)))
 
     run_parser = subparsers.add_parser("run", help="run dynamics on a scenario and export artifacts")
     run_parser.add_argument("--scenario", required=True)

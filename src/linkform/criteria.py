@@ -23,8 +23,10 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .cost import bandwidth_ratio, minimum_link_power
+from .cost import bandwidth_ratio
+from .game import PairingTable, pairing_table
 from .model import Node, Scenario, Topology
 
 
@@ -65,39 +67,32 @@ class StructureReport:
     unattached_non_ic: tuple[int, ...]
 
 
-def _pairing_costs(
-    owner: Node, peer: Node, scenario: Scenario, congestion: int
+def _side_costs(
+    scenario: Scenario, pairings: PairingTable, owner: Node, peer: Node, congestion: int
 ) -> list[tuple[float, int, int]]:
-    """(owner-side cost, r_owner, r_peer) for every feasible interface pairing."""
+    """(owner-side cost, r_owner, r_peer) for every feasible pairing, ordered by (r_owner, r_peer).
+
+    The clique criterion reports the first of tied worst pairings in this order.
+    """
     cfg = scenario.config
+    low = owner.id < peer.id
     costs: list[tuple[float, int, int]] = []
-    for r_own, r_peer in itertools.product(range(len(owner.interfaces)), range(len(peer.interfaces))):
-        own_iface = owner.interfaces[r_own]
-        peer_iface = peer.interfaces[r_peer]
-        if own_iface.kind != peer_iface.kind or own_iface.frequency_hz != peer_iface.frequency_hz:
-            continue
-        sigma_own = minimum_link_power(owner, r_own, peer, r_peer, cfg)
-        sigma_peer = minimum_link_power(peer, r_peer, owner, r_own, cfg)
-        if sigma_own > own_iface.max_tx_power_w or sigma_peer > peer_iface.max_tx_power_w:
-            continue
-        unit = (
-            cfg.alpha
-            * congestion
-            * owner.energy_weight
-            * sigma_own
-            / bandwidth_ratio(own_iface, owner)
-        )
-        costs.append((unit, r_own, r_peer))
+    for option in pairings.get((owner.id, peer.id) if low else (peer.id, owner.id), ()):
+        if low:
+            r_own, r_peer, sigma_own = option.r_a, option.r_b, option.sigma_a
+        else:
+            r_own, r_peer, sigma_own = option.r_b, option.r_a, option.sigma_b
+        beta = bandwidth_ratio(owner.interfaces[r_own], owner)
+        costs.append((cfg.alpha * congestion * owner.energy_weight * sigma_own / beta, r_own, r_peer))
+    costs.sort(key=itemgetter(1, 2))
     return costs
 
 
-def clique_criterion(scenario: Scenario) -> CriterionResult:
-    """Every IC pair feasible with worst-case pairing cost strictly below gamma - 1.
+def _result(witnesses: list[Witness]) -> CriterionResult:
+    return CriterionResult(holds=not witnesses, witnesses=tuple(witnesses))
 
-    The congestion factor is taken at its full-clique value (IC count minus
-    one). Witnesses carry both the worst and the best pairing so boundary
-    scenarios are diagnosable.
-    """
+
+def _clique_witnesses(scenario: Scenario, pairings: PairingTable) -> list[Witness]:
     threshold = scenario.config.gamma - 1.0
     ic_nodes = [scenario.node(i) for i in scenario.ic_ids]
     congestion = max(1, len(ic_nodes) - 1)
@@ -108,7 +103,7 @@ def clique_criterion(scenario: Scenario) -> CriterionResult:
         detail = ""
         feasible = False
         for owner, peer in ((a, b), (b, a)):
-            for unit, r_own, r_peer in _pairing_costs(owner, peer, scenario, congestion):
+            for unit, r_own, r_peer in _side_costs(scenario, pairings, owner, peer, congestion):
                 feasible = True
                 best = min(best, unit)
                 if unit > worst:
@@ -132,22 +127,16 @@ def clique_criterion(scenario: Scenario) -> CriterionResult:
                     note=f"{detail}; best pairing cost {best:.6g}",
                 )
             )
-    return CriterionResult(holds=not witnesses, witnesses=tuple(witnesses))
+    return witnesses
 
 
-def single_ic_link_criterion(scenario: Scenario) -> CriterionResult:
-    """Clique criterion plus: IC-side minimum cost to every non-IC node above gamma - 1.
-
-    Pairs with no feasible pairing can never link, so they satisfy the
-    condition vacuously.
-    """
+def _uplink_witnesses(scenario: Scenario, pairings: PairingTable) -> list[Witness]:
     threshold = scenario.config.gamma - 1.0
-    base = clique_criterion(scenario)
-    witnesses = list(base.witnesses)
+    witnesses: list[Witness] = []
     for ic_id in scenario.ic_ids:
         ic_node = scenario.node(ic_id)
         for non_id in scenario.non_ic_ids:
-            costs = _pairing_costs(ic_node, scenario.node(non_id), scenario, congestion=1)
+            costs = _side_costs(scenario, pairings, ic_node, scenario.node(non_id), congestion=1)
             if not costs:
                 continue
             cheapest, r_own, r_peer = min(costs)
@@ -160,16 +149,14 @@ def single_ic_link_criterion(scenario: Scenario) -> CriterionResult:
                         note=f"cheapest pairing ({r_own}, {r_peer}) does not exceed gamma - 1",
                     )
                 )
-    return CriterionResult(holds=not witnesses, witnesses=tuple(witnesses))
+    return witnesses
 
 
-def star_criterion(scenario: Scenario) -> CriterionResult:
-    """Single-uplink criterion plus: non-IC pairwise minimum costs above 1/2."""
+def _star_witnesses(scenario: Scenario, pairings: PairingTable) -> list[Witness]:
     threshold = 0.5
-    base = single_ic_link_criterion(scenario)
-    witnesses = list(base.witnesses)
+    witnesses: list[Witness] = []
     for a_id, b_id in itertools.permutations(scenario.non_ic_ids, 2):
-        costs = _pairing_costs(scenario.node(a_id), scenario.node(b_id), scenario, congestion=1)
+        costs = _side_costs(scenario, pairings, scenario.node(a_id), scenario.node(b_id), congestion=1)
         if not costs:
             continue
         cheapest, r_own, r_peer = min(costs)
@@ -182,7 +169,31 @@ def star_criterion(scenario: Scenario) -> CriterionResult:
                     note=f"cheapest pairing ({r_own}, {r_peer}) does not exceed 1/2",
                 )
             )
-    return CriterionResult(holds=not witnesses, witnesses=tuple(witnesses))
+    return witnesses
+
+
+def clique_criterion(scenario: Scenario) -> CriterionResult:
+    """Every IC pair feasible with worst-case pairing cost strictly below gamma - 1.
+
+    The congestion factor is taken at its full-clique value (IC count minus
+    one). Witnesses carry both the worst and the best pairing so boundary
+    scenarios are diagnosable.
+    """
+    return criteria_report(scenario).clique
+
+
+def single_ic_link_criterion(scenario: Scenario) -> CriterionResult:
+    """Clique criterion plus: IC-side minimum cost to every non-IC node above gamma - 1.
+
+    Pairs with no feasible pairing can never link, so they satisfy the
+    condition vacuously.
+    """
+    return criteria_report(scenario).single_ic_link
+
+
+def star_criterion(scenario: Scenario) -> CriterionResult:
+    """Single-uplink criterion plus: non-IC pairwise minimum costs above 1/2."""
+    return criteria_report(scenario).star
 
 
 CRITERIA_NOTES = (
@@ -197,10 +208,14 @@ CRITERIA_NOTES = (
 
 
 def criteria_report(scenario: Scenario) -> CriteriaReport:
+    pairings = pairing_table(scenario)
+    clique = _clique_witnesses(scenario, pairings)
+    single_ic_link = clique + _uplink_witnesses(scenario, pairings)
+    star = single_ic_link + _star_witnesses(scenario, pairings)
     return CriteriaReport(
-        clique=clique_criterion(scenario),
-        single_ic_link=single_ic_link_criterion(scenario),
-        star=star_criterion(scenario),
+        clique=_result(clique),
+        single_ic_link=_result(single_ic_link),
+        star=_result(star),
         notes=CRITERIA_NOTES,
     )
 

@@ -8,6 +8,11 @@ unreachable within the hop cap: a move is an improvement only if it strictly
 lowers that count. This lets an empty network bootstrap itself (the first links
 reduce unreachability even though both states are infinite) while staying
 conservative between equally-disconnected states.
+
+One deviation engine serves dynamics, stability and enumeration: ``_severances``
+scans each node's links by node, then peer id, and ``_additions`` scans absent
+pairs in pair order. Among one pair's mutually improving pairings the one with
+the lowest delta for the lower-id endpoint wins, then the lowest interfaces.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .model import (
     GameConfig,
@@ -32,6 +38,9 @@ from .model import (
 from .propagation import link_feasible, required_tx_power
 
 DEFAULT_MAX_MOVES = 10_000
+
+State = tuple[float, int]  # (total cost, peers unreachable within h_max)
+Addition = tuple[float, int, int, tuple[int, int], float]  # (delta_a, r_a, r_b, pair, delta_b)
 
 
 @dataclass(frozen=True)
@@ -94,10 +103,54 @@ class DynamicsTrace:
 
 
 class PairingOption(NamedTuple):
+    """One interface pairing of a node pair, priced for both endpoints."""
+
     r_a: int
     r_b: int
     unit_a: float  # rho * sigma / beta for the lower-id endpoint
     unit_b: float
+    sigma_a: float  # transmit power the lower-id endpoint emits
+    sigma_b: float
+
+
+PairingTable = dict[tuple[int, int], tuple[PairingOption, ...]]
+
+
+def _unit(config: GameConfig, owner: Node, r_own: int, peer: Node, r_peer: int) -> tuple[float, float]:
+    """(sigma, rho * sigma / beta) for one endpoint; both inf for unusable assignments."""
+    iface = owner.interfaces[r_own]
+    other = peer.interfaces[r_peer]
+    if iface.kind != other.kind or iface.frequency_hz != other.frequency_hz:
+        return math.inf, math.inf
+    distance = distance_between(owner, peer)
+    sigma = 0.0 if distance == 0.0 else required_tx_power(iface, other, distance, config)
+    if sigma > iface.max_tx_power_w:
+        return math.inf, math.inf
+    beta = iface.max_bitrate_bps / owner.min_required_bitrate_bps
+    return sigma, owner.energy_weight * sigma / beta
+
+
+def _pairing(config: GameConfig, a: Node, r_a: int, b: Node, r_b: int) -> PairingOption:
+    sigma_a, unit_a = _unit(config, a, r_a, b, r_b)
+    sigma_b, unit_b = _unit(config, b, r_b, a, r_a)
+    return PairingOption(r_a, r_b, unit_a, unit_b, sigma_a, sigma_b)
+
+
+def pairing_table(scenario: Scenario) -> PairingTable:
+    """Feasible interface pairings of every node pair, keyed by (lower id, higher id).
+
+    Options are ordered by (r_a, r_b); pairs with no feasible pairing are absent.
+    """
+    table: PairingTable = {}
+    for a, b in itertools.combinations(scenario.nodes, 2):
+        options = []
+        for r_a, r_b in itertools.product(range(len(a.interfaces)), range(len(b.interfaces))):
+            option = _pairing(scenario.config, a, r_a, b, r_b)
+            if math.isfinite(option.unit_a) and math.isfinite(option.unit_b):
+                options.append(option)
+        if options:
+            table[(a.id, b.id)] = tuple(options)
+    return table
 
 
 class _LinkRecord(NamedTuple):
@@ -109,51 +162,19 @@ class _LinkRecord(NamedTuple):
 class _Evaluator:
     """Incremental cost evaluation for one scenario across candidate link sets.
 
-    Precomputes per-pair feasible interface pairings and their unit costs,
-    then answers state queries as (total cost, peers unreachable within the
-    hop cap) against a small mutable link set.
+    Answers state queries as (total cost, peers unreachable within the hop
+    cap) against a small mutable link set.
     """
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
         self.cfg = scenario.config
         self.ids: tuple[int, ...] = scenario.ids
         self.n = len(self.ids)
         self.by_id = scenario.node_map
         self.is_ic = {node.id: node.internet_connected for node in scenario.nodes}
-        self.pairings: dict[tuple[int, int], tuple[PairingOption, ...]] = {}
-        for a, b in itertools.combinations(self.ids, 2):
-            options = self._feasible_options(self.by_id[a], self.by_id[b])
-            if options:
-                self.pairings[(a, b)] = options
         self.adj: dict[int, set[int]] = {i: set() for i in self.ids}
         self.iface_of: dict[tuple[int, int], tuple[int, int]] = {}
         self.units: dict[tuple[int, int], tuple[float, float]] = {}
-
-    # -- construction helpers -------------------------------------------------
-
-    def _unit(self, owner: Node, r_own: int, peer: Node, r_peer: int) -> float:
-        """rho * sigma / beta for one endpoint; inf for unusable assignments."""
-        iface = owner.interfaces[r_own]
-        other = peer.interfaces[r_peer]
-        if iface.kind != other.kind or iface.frequency_hz != other.frequency_hz:
-            return math.inf
-        distance = distance_between(owner, peer)
-        sigma = 0.0 if distance == 0.0 else required_tx_power(iface, other, distance, self.cfg)
-        if sigma > iface.max_tx_power_w:
-            return math.inf
-        beta = iface.max_bitrate_bps / owner.min_required_bitrate_bps
-        return owner.energy_weight * sigma / beta
-
-    def _feasible_options(self, a: Node, b: Node) -> tuple[PairingOption, ...]:
-        options = []
-        for r_a in range(len(a.interfaces)):
-            for r_b in range(len(b.interfaces)):
-                unit_a = self._unit(a, r_a, b, r_b)
-                unit_b = self._unit(b, r_b, a, r_a)
-                if math.isfinite(unit_a) and math.isfinite(unit_b):
-                    options.append(PairingOption(r_a, r_b, unit_a, unit_b))
-        return tuple(options)
 
     # -- mutable link set -----------------------------------------------------
 
@@ -167,10 +188,7 @@ class _Evaluator:
         """Install an arbitrary link set, pricing infeasible links as infinite."""
         self.reset()
         for link in links:
-            a, b = link.node_a, link.node_b
-            unit_a = self._unit(self.by_id[a], link.iface_a, self.by_id[b], link.iface_b)
-            unit_b = self._unit(self.by_id[b], link.iface_b, self.by_id[a], link.iface_a)
-            self._place((a, b), (link.iface_a, link.iface_b), (unit_a, unit_b))
+            self.place_link(link)
 
     def _place(self, pair: tuple[int, int], ifaces: tuple[int, int], units: tuple[float, float]) -> None:
         a, b = pair
@@ -181,6 +199,10 @@ class _Evaluator:
 
     def place_option(self, pair: tuple[int, int], option: PairingOption) -> None:
         self._place(pair, (option.r_a, option.r_b), (option.unit_a, option.unit_b))
+
+    def place_link(self, link: Link) -> None:
+        node_a, node_b = self.by_id[link.node_a], self.by_id[link.node_b]
+        self.place_option(link.pair, _pairing(self.cfg, node_a, link.iface_a, node_b, link.iface_b))
 
     def remove_pair(self, a: int, b: int) -> _LinkRecord:
         pair = (a, b) if a < b else (b, a)
@@ -199,7 +221,7 @@ class _Evaluator:
 
     # -- evaluation -----------------------------------------------------------
 
-    def state(self, i: int) -> tuple[float, int]:
+    def state(self, i: int) -> State:
         """(total cost, number of peers unreachable within h_max) for node ``i``."""
         cfg = self.cfg
         adj_i = self.adj[i]
@@ -245,14 +267,29 @@ class _Evaluator:
         return (link_cost + cfg.gamma * ic_sum + non_ic_sum + bridging, 0)
 
 
-def _improves(before: tuple[float, int], after: tuple[float, int]) -> bool:
+class _BaseStates(dict):
+    """States of the evaluator's current link set, each evaluated on first use.
+
+    Only read while the link set is the base one: the deviation scans restore
+    it before they yield, and read each endpoint before placing a trial link.
+    """
+
+    def __init__(self, evaluator: _Evaluator):
+        self.evaluator = evaluator
+
+    def __missing__(self, i: int) -> State:
+        state = self[i] = self.evaluator.state(i)
+        return state
+
+
+def _improves(before: State, after: State) -> bool:
     """Strict improvement under the documented unreachability-count rule."""
     if math.isinf(before[0]) and math.isinf(after[0]):
         return after[1] < before[1]
     return after[0] < before[0]
 
 
-def _resolved_delta(before: tuple[float, int], after: tuple[float, int]) -> float:
+def _resolved_delta(before: State, after: State) -> float:
     """Signed delta for records; count-based improvements resolve to -inf."""
     if math.isinf(before[0]) and math.isinf(after[0]):
         if after[1] < before[1]:
@@ -263,10 +300,76 @@ def _resolved_delta(before: tuple[float, int], after: tuple[float, int]) -> floa
     return after[0] - before[0]
 
 
+def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Iterable[int]) -> Iterator[Remove]:
+    """Every improving unilateral severance, one per endpoint incidence.
+
+    Scans the nodes in ``node_order``, each against its peers in ascending id
+    order. The link set is restored before each yield.
+    """
+    state = evaluator.state
+    for i in node_order:
+        for peer in sorted(evaluator.adj[i]):
+            record = evaluator.remove_pair(i, peer)
+            after = state(i)
+            evaluator.restore(record)
+            if _improves(base[i], after):
+                (a, b), (r_a, r_b) = record.pair, record.ifaces
+                yield Remove(link=Link(a, r_a, b, r_b), initiator=i, delta=_resolved_delta(base[i], after))
+
+
+def _additions(
+    evaluator: _Evaluator,
+    base: dict[int, State],
+    pairings: PairingTable,
+    pair_order: Iterable[tuple[int, int]],
+) -> Iterator[Addition]:
+    """Every mutually improving pairing of each absent pair, in pair order, then option order.
+
+    Items are (delta_a, r_a, r_b, pair, delta_b) with ``a`` the lower id, so
+    ``min`` over one pair's items applies the tie rule. Endpoint ``b`` is
+    evaluated only when ``a`` improves. The link set is restored before each
+    yield.
+    """
+    state = evaluator.state
+    for pair in pair_order:
+        a, b = pair
+        if b in evaluator.adj[a]:
+            continue
+        before_a = base[a]
+        before_b = base[b]
+        for option in pairings[pair]:
+            evaluator.place_option(pair, option)
+            after_a = state(a)
+            after_b = state(b) if _improves(before_a, after_a) else None
+            evaluator.remove_pair(a, b)
+            if after_b is not None and _improves(before_b, after_b):
+                delta_a = _resolved_delta(before_a, after_a)
+                yield (delta_a, option.r_a, option.r_b, pair, _resolved_delta(before_b, after_b))
+
+
 def _evaluator_for(topology: Topology, config: GameConfig) -> _Evaluator:
     evaluator = _Evaluator(Scenario(topology.nodes, config))
     evaluator.load(topology.links)
     return evaluator
+
+
+def _toggle_states(
+    topology: Topology, config: GameConfig, link: Link, ids: tuple[int, ...]
+) -> list[tuple[State, State]]:
+    """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added."""
+    evaluator = _evaluator_for(topology, config)
+    before = [evaluator.state(i) for i in ids]
+    if link in topology.links:
+        evaluator.remove_pair(link.node_a, link.node_b)
+    else:
+        evaluator.place_link(link)
+    return list(zip(before, [evaluator.state(i) for i in ids]))
+
+
+def _defined_delta(before: State, after: State) -> float:
+    if math.isinf(before[0]) and math.isinf(after[0]):
+        raise IncomparableCostError("both states are disconnected; no defined sign")
+    return after[0] - before[0]
 
 
 def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfig) -> float:
@@ -281,19 +384,8 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
         topology.node(link.node_a), link.iface_a, topology.node(link.node_b), link.iface_b, config
     ):
         raise ValueError(f"{link} is not physically feasible")
-    evaluator = _evaluator_for(topology, config)
-    before = evaluator.state(node.id)
-    unit_a = evaluator._unit(
-        topology.node(link.node_a), link.iface_a, topology.node(link.node_b), link.iface_b
-    )
-    unit_b = evaluator._unit(
-        topology.node(link.node_b), link.iface_b, topology.node(link.node_a), link.iface_a
-    )
-    evaluator._place(link.pair, (link.iface_a, link.iface_b), (unit_a, unit_b))
-    after = evaluator.state(node.id)
-    if math.isinf(before[0]) and math.isinf(after[0]):
-        raise IncomparableCostError("both states are disconnected; no defined sign")
-    return after[0] - before[0]
+    [(before, after)] = _toggle_states(topology, config, link, (node.id,))
+    return _defined_delta(before, after)
 
 
 def delta_cost_remove(node: Node, topology: Topology, link: Link, config: GameConfig) -> float:
@@ -302,13 +394,8 @@ def delta_cost_remove(node: Node, topology: Topology, link: Link, config: GameCo
         raise ValueError(f"{link} not present")
     if not link.touches(node.id):
         raise ValueError(f"node {node.id} is not an endpoint of {link}")
-    evaluator = _evaluator_for(topology, config)
-    before = evaluator.state(node.id)
-    evaluator.remove_pair(link.node_a, link.node_b)
-    after = evaluator.state(node.id)
-    if math.isinf(before[0]) and math.isinf(after[0]):
-        raise IncomparableCostError("both states are disconnected; no defined sign")
-    return after[0] - before[0]
+    [(before, after)] = _toggle_states(topology, config, link, (node.id,))
+    return _defined_delta(before, after)
 
 
 def propose_add(
@@ -327,81 +414,39 @@ def propose_add(
     if not link_feasible(node_i, r_i, node_j, r_j, config):
         return Rejection(kind="infeasible")
     link = Link(i, r_i, j, r_j)
-    evaluator = _evaluator_for(topology, config)
-    before = {i: evaluator.state(i), j: evaluator.state(j)}
-    unit_a = evaluator._unit(
-        topology.node(link.node_a), link.iface_a, topology.node(link.node_b), link.iface_b
-    )
-    unit_b = evaluator._unit(
-        topology.node(link.node_b), link.iface_b, topology.node(link.node_a), link.iface_a
-    )
-    evaluator._place(link.pair, (link.iface_a, link.iface_b), (unit_a, unit_b))
-    after = {i: evaluator.state(i), j: evaluator.state(j)}
+    states = _toggle_states(topology, config, link, link.pair)
     decliners = tuple(
-        sorted(node_id for node_id in (i, j) if not _improves(before[node_id], after[node_id]))
+        node_id for node_id, (before, after) in zip(link.pair, states) if not _improves(before, after)
     )
     if decliners:
         return Rejection(kind="declined", declined_by=decliners)
+    (before_a, after_a), (before_b, after_b) = states
     return Add(
         link=link,
-        delta_a=_resolved_delta(before[link.node_a], after[link.node_a]),
-        delta_b=_resolved_delta(before[link.node_b], after[link.node_b]),
+        delta_a=_resolved_delta(before_a, after_a),
+        delta_b=_resolved_delta(before_b, after_b),
     )
 
 
-def _addition_violation(
-    evaluator: _Evaluator,
-    base: dict[int, tuple[float, int]],
-    pair: tuple[int, int],
-    options: tuple[PairingOption, ...],
-) -> Link | None:
-    """Best mutually-improving pairing for an absent pair, or None.
-
-    Among violating pairings the one minimizing the lower-id endpoint's delta
-    is reported, ties broken by lowest interface indices.
-    """
-    a, b = pair
-    best: tuple[tuple[float, int, int], PairingOption] | None = None
-    for option in options:
-        evaluator.place_option(pair, option)
-        after_a = evaluator.state(a)
-        after_b = evaluator.state(b)
-        evaluator.remove_pair(a, b)
-        if _improves(base[a], after_a) and _improves(base[b], after_b):
-            key = (_resolved_delta(base[a], after_a), option.r_a, option.r_b)
-            if best is None or key < best[0]:
-                best = (key, option)
-    if best is None:
-        return None
-    option = best[1]
-    return Link(a, option.r_a, b, option.r_b)
-
-
 def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityReport:
-    """Full deviation scan: every severance incidence, every absent feasible pairing."""
+    """Full deviation scan: every severance incidence, every absent feasible pairing.
+
+    Severances are reported by link, then endpoint; additions by pair, each
+    with its best pairing.
+    """
     evaluator = _evaluator_for(topology, config)
+    pairings = pairing_table(Scenario(topology.nodes, config))
     base = {i: evaluator.state(i) for i in evaluator.ids}
-
-    severance: list[tuple[int, Link]] = []
-    for link in sorted(topology.links):
-        record = evaluator.remove_pair(link.node_a, link.node_b)
-        after = {
-            link.node_a: evaluator.state(link.node_a),
-            link.node_b: evaluator.state(link.node_b),
-        }
-        evaluator.restore(record)
-        for endpoint in (link.node_a, link.node_b):
-            if _improves(base[endpoint], after[endpoint]):
-                severance.append((endpoint, link))
-
-    additions: list[Link] = []
-    for pair, options in evaluator.pairings.items():
-        if pair[1] in evaluator.adj[pair[0]]:
-            continue
-        violation = _addition_violation(evaluator, base, pair, options)
-        if violation is not None:
-            additions.append(violation)
-
+    severance = sorted(
+        ((move.initiator, move.link) for move in _severances(evaluator, base, evaluator.ids)),
+        key=lambda incidence: (incidence[1], incidence[0]),
+    )
+    additions = []
+    for pair, items in itertools.groupby(
+        _additions(evaluator, base, pairings, sorted(pairings)), key=itemgetter(3)
+    ):
+        _, r_a, r_b, _, _ = min(items)
+        additions.append(Link(pair[0], r_a, pair[1], r_b))
     return StabilityReport(
         stable=not severance and not additions,
         severance_violations=tuple(severance),
@@ -409,119 +454,25 @@ def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityRepor
     )
 
 
-def _is_stable_fast(evaluator: _Evaluator) -> bool:
-    """Short-circuiting stability check against the evaluator's current links."""
-    base: dict[int, tuple[float, int]] = {}
-
-    def state_of(i: int) -> tuple[float, int]:
-        cached = base.get(i)
-        if cached is None:
-            cached = base[i] = evaluator.state(i)
-        return cached
-
-    for pair, options in evaluator.pairings.items():
-        a, b = pair
-        if b in evaluator.adj[a]:
-            continue
-        before_a = state_of(a)
-        before_b = state_of(b)
-        for option in options:
-            evaluator.place_option(pair, option)
-            after_a = evaluator.state(a)
-            if _improves(before_a, after_a) and _improves(before_b, evaluator.state(b)):
-                evaluator.remove_pair(a, b)
-                return False
-            evaluator.remove_pair(a, b)
-    for i in evaluator.ids:
-        for peer in sorted(evaluator.adj[i]):
-            record = evaluator.remove_pair(i, peer)
-            after = evaluator.state(i)
-            evaluator.restore(record)
-            if _improves(state_of(i), after):
-                return False
-    return True
-
-
-def _find_move(
-    evaluator: _Evaluator,
-    node_order: list[int],
-    pair_order: list[tuple[int, int]],
-) -> Move | None:
-    """First admissible move: all severances scanned before all additions."""
-    base: dict[int, tuple[float, int]] = {}
-
-    def state_of(i: int) -> tuple[float, int]:
-        cached = base.get(i)
-        if cached is None:
-            cached = base[i] = evaluator.state(i)
-        return cached
-
-    for i in node_order:
-        for peer in sorted(evaluator.adj[i]):
-            record = evaluator.remove_pair(i, peer)
-            after = evaluator.state(i)
-            evaluator.restore(record)
-            if _improves(state_of(i), after):
-                ifaces = record.ifaces
-                link = Link(record.pair[0], ifaces[0], record.pair[1], ifaces[1])
-                return Remove(link=link, initiator=i, delta=_resolved_delta(state_of(i), after))
-
-    for pair in pair_order:
-        a, b = pair
-        if b in evaluator.adj[a]:
-            continue
-        options = evaluator.pairings.get(pair)
-        if not options:
-            continue
-        before_a = state_of(a)
-        before_b = state_of(b)
-        best: tuple[tuple[float, int, int], PairingOption, float, float] | None = None
-        for option in options:
-            evaluator.place_option(pair, option)
-            after_a = evaluator.state(a)
-            after_b = evaluator.state(b)
-            evaluator.remove_pair(a, b)
-            if _improves(before_a, after_a) and _improves(before_b, after_b):
-                delta_a = _resolved_delta(before_a, after_a)
-                key = (delta_a, option.r_a, option.r_b)
-                if best is None or key < best[0]:
-                    best = (key, option, delta_a, _resolved_delta(before_b, after_b))
-        if best is not None:
-            _, option, delta_a, delta_b = best
-            link = Link(a, option.r_a, b, option.r_b)
-            return Add(link=link, delta_a=delta_a, delta_b=delta_b)
-    return None
-
-
-def _apply(evaluator: _Evaluator, move: Move) -> None:
-    if isinstance(move, Add):
-        link = move.link
-        pair = link.pair
-        for option in evaluator.pairings[pair]:
-            if option.r_a == link.iface_a and option.r_b == link.iface_b:
-                evaluator.place_option(pair, option)
-                return
-        raise ValueError(f"no feasible pairing backs {link}")
-    evaluator.remove_pair(move.link.node_a, move.link.node_b)
-
-
 def best_response_dynamics(
     scenario: Scenario, seed: int = 0, max_moves: int = DEFAULT_MAX_MOVES
 ) -> tuple[Topology, DynamicsTrace]:
     """Run seeded best-response dynamics from the empty topology.
 
-    Seed 0 scans node pairs in ascending id order; any other seed applies a
-    fixed pseudo-random permutation to the scan order, making order sensitivity
-    measurable. Identical scenario and seed reproduce the identical trace. A
-    run that stops at ``max_moves`` is reported as non-converged, never raised.
+    Each step applies the first deviation of the scan: all severances before
+    all additions. Seed 0 scans nodes and node pairs in ascending id order;
+    any other seed applies a fixed pseudo-random permutation to the scan
+    order, making order sensitivity measurable. Identical scenario and seed
+    reproduce the identical trace. A run that stops at ``max_moves`` is
+    reported as non-converged, never raised.
     """
     issues = validate_scenario(scenario.nodes, scenario.config)
     if issues:
         raise ValueError("; ".join(str(issue) for issue in issues))
     evaluator = _Evaluator(scenario)
-    evaluator.reset()
+    pairings = pairing_table(scenario)
     node_order = list(evaluator.ids)
-    pair_order = sorted(evaluator.pairings)
+    pair_order = sorted(pairings)
     if seed != 0:
         rng = random.Random(seed)
         rng.shuffle(node_order)
@@ -530,11 +481,22 @@ def best_response_dynamics(
     steps: list[TraceStep] = []
     converged = False
     while len(steps) < max_moves:
-        move = _find_move(evaluator, node_order, pair_order)
+        base = _BaseStates(evaluator)
+        deviations = itertools.chain(
+            _severances(evaluator, base, node_order),
+            _additions(evaluator, base, pairings, pair_order),
+        )
+        move = next(deviations, None)
         if move is None:
             converged = True
             break
-        _apply(evaluator, move)
+        if isinstance(move, Remove):
+            evaluator.remove_pair(move.link.node_a, move.link.node_b)
+        else:
+            pair = move[3]
+            delta_a, r_a, r_b, _, delta_b = min(_additions(evaluator, base, pairings, [pair]))
+            evaluator.place_option(pair, next(o for o in pairings[pair] if (o.r_a, o.r_b) == (r_a, r_b)))
+            move = Add(link=Link(pair[0], r_a, pair[1], r_b), delta_a=delta_a, delta_b=delta_b)
         steps.append(
             TraceStep(
                 move=move,
@@ -567,16 +529,21 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
     evaluator = _Evaluator(scenario)
-    pair_keys = sorted(evaluator.pairings)
-    option_lists: list[tuple[PairingOption | None, ...]] = [
-        (None, *evaluator.pairings[key]) for key in pair_keys
-    ]
+    pairings = pairing_table(scenario)
+    pair_order = sorted(pairings)
+    option_lists: list[tuple[PairingOption | None, ...]] = [(None, *pairings[pair]) for pair in pair_order]
     stable: set[Topology] = set()
     for combo in itertools.product(*option_lists):
         evaluator.reset()
-        for key, option in zip(pair_keys, combo):
+        for pair, option in zip(pair_order, combo):
             if option is not None:
-                evaluator.place_option(key, option)
-        if _is_stable_fast(evaluator):
+                evaluator.place_option(pair, option)
+        # additions first: most enumerated link sets fail on an absent pair
+        base = _BaseStates(evaluator)
+        deviations = itertools.chain(
+            _additions(evaluator, base, pairings, pair_order),
+            _severances(evaluator, base, evaluator.ids),
+        )
+        if not any(deviations):
             stable.add(Topology(scenario.nodes, evaluator.links_snapshot()))
     return stable

@@ -247,7 +247,6 @@ class GameConfig:
     alpha: float = 1.0
     h_max: int = 5
     path_loss_exponent: float = 2.0
-    tie_break: str = "index"
 
 
 @dataclass(frozen=True)
@@ -312,8 +311,6 @@ def validate_scenario(nodes: Iterable[Node], config: GameConfig) -> list[Validat
         issues.append(
             ValidationIssue("config.path_loss_exponent", f"must be >= 2, got {config.path_loss_exponent!r}")
         )
-    if config.tie_break != "index":
-        issues.append(ValidationIssue("config.tie_break", f"unknown policy {config.tie_break!r}"))
 
     node_list = list(nodes)
     if not node_list:

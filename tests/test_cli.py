@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from linkform.cli import (
     fixture_path,
@@ -230,3 +233,38 @@ def test_env_seed_default(tmp_path, monkeypatch, capsys):
     run_cli("run", "--scenario", FIXTURE_570, "--out", str(out))
     report = json.loads((out / "report.json").read_text())
     assert report["seed"] == 7
+
+
+def scenario_with_config(tmp_path, **config):
+    """The 570 fixture with ``config`` fields overridden, written to a file."""
+    document = json.loads(Path(FIXTURE_570).read_text())
+    document["config"].update(config)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+def test_tie_break_is_a_legacy_key(tmp_path, capsys):
+    # the fixtures carry "tie_break": "index"; it is read, never written back
+    assert json.loads(Path(FIXTURE_570).read_text())["config"]["tie_break"] == "index"
+    assert "tie_break" not in scenario_to_dict(load_scenario(FIXTURE_570))["config"]
+    scenario = scenario_with_config(tmp_path, tie_break="random")
+    assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o")) == 1
+    assert "config.tie_break: unknown policy 'random'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("alpha", "x"), ("alpha", None), ("h_max", True), ("path_loss_exponent", "2.0"), ("tie_break", 1)],
+)
+def test_config_field_of_wrong_type_is_rejected(tmp_path, capsys, field, value):
+    scenario = scenario_with_config(tmp_path, **{field: value})
+    assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o")) == 1
+    assert f"error: config.{field}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["LINKFORM_SEED", "LINKFORM_MAX_MOVES"])
+def test_non_integer_env_default_is_rejected(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "abc")
+    assert run_cli("run", "--scenario", FIXTURE_570, "--out", str(tmp_path / "o")) == 1
+    assert f"error: {name} must be an integer, got 'abc'" in capsys.readouterr().err

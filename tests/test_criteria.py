@@ -74,6 +74,27 @@ def test_clique_criterion_applies_clique_congestion():
     assert clique_criterion(Scenario(nodes, GameConfig(gamma=17.5))).holds
 
 
+def test_clique_witness_cost_and_note_are_exact():
+    # alpha != 1 and congestion 2 (three IC nodes): the witness keeps the
+    # expression order alpha * congestion * rho * sigma / beta bit for bit.
+    # Node 1 links node 0 over lora (0, 1) or mesh (1, 0) at the same cost;
+    # the worst-pairing note names the lower interface pair of that tie.
+    lora = make_iface("lora", 1.0e9, 1.0e6, 5.0, 1e-12)
+    cfg = GameConfig(gamma=1.0, alpha=0.7)
+    nodes = (
+        make_node(0, (0.0, 0.0), (MESH, lora), ic=True),
+        make_node(1, (10.0, 0.0), (lora, MESH), rho=3.0, ic=True),
+        make_node(2, (0.0, 20.0), (MESH,), ic=True),
+    )
+    witness = clique_criterion(Scenario(nodes, cfg)).witnesses[0]
+    owner, peer = nodes[1], nodes[0]
+    sigma = minimum_link_power(owner, 0, peer, 1, cfg)
+    beta = bandwidth_ratio(owner.interfaces[0], owner)
+    assert witness.nodes == (0, 1)
+    assert witness.cost == cfg.alpha * 2 * owner.energy_weight * sigma / beta
+    assert witness.note == "worst pairing (0, 1) on node 1's side; best pairing cost 2.45984e-08"
+
+
 # -- single uplink criterion -------------------------------------------------------
 
 

@@ -337,3 +337,28 @@ def test_fixed_points_belong_to_stable_set():
             topology, trace = best_response_dynamics(scenario, seed=seed)
             if trace.converged:
                 assert topology in stable
+
+
+def test_stability_report_order_is_pinned():
+    # Reports and `linkform check` serialise these tuples in order: severances
+    # by link, then endpoint; additions by pair, each with the pairing of
+    # lowest delta for the lower-id endpoint, then lowest interfaces. Pairs
+    # (0, 1) and (0, 2) each have several improving pairings, none first.
+    rhos = (1e4, 1e2, 1e3, 1e3, 1e4)
+    radios = (2, 2, 1, 1, 2)
+    positions = ((0.0, 0.0), (20.0, 0.0), (20.0, 20.0), (0.0, 20.0), (40.0, 10.0))
+    nodes = tuple(
+        make_node(i, positions[i], (MESH,) * radios[i], rho=rhos[i]) for i in range(5)
+    )
+    links = {
+        Link(0, 0, 3, 0), Link(1, 0, 4, 1), Link(1, 1, 2, 0), Link(1, 1, 3, 0),
+        Link(2, 0, 3, 0), Link(2, 0, 4, 0), Link(3, 0, 4, 1),
+    }
+    report = is_pairwise_stable(Topology(nodes, frozenset(links)), GameConfig(gamma=10.0))
+    assert report.severance_violations == (
+        (4, Link(1, 0, 4, 1)),
+        (3, Link(3, 0, 4, 1)),
+        (4, Link(3, 0, 4, 1)),
+    )
+    assert report.addition_violations == (Link(0, 1, 1, 0), Link(0, 1, 2, 0))
+    assert not report.stable
