@@ -1,10 +1,24 @@
 """Scenario ingestion, experiment orchestration, and exports.
 
 Scenario files are JSON documents with a ``config`` object and a ``nodes``
-list mirroring the domain types field-for-field (bitrates in bps, powers in
-watts, frequencies in Hz, positions in meters). Run artifacts are report.json,
-trace.jsonl, topology.json, and topology.dot. Infinite numbers are encoded as
-the strings "Infinity" / "-Infinity".
+list that mirror the domain dataclasses field for field (bitrates in bps,
+powers in watts, frequencies in Hz, positions in meters). Reading is strict.
+The keys of every object are exactly the fields of its dataclass: a field
+with a default may be left out, every other field is required, and any other
+key is an error. Each value must have its field's JSON type: a number is a
+JSON number and never a boolean, an integer field takes only integers,
+``internet_connected`` is a boolean, and ``position`` is a list of two
+numbers. Each violation is reported with its JSON path, for example
+``nodes[3].interfaces[1].antena_gain: unknown field``. The one exception is
+the legacy config key ``"tie_break": "index"``, which is accepted and never
+written back. A topology document has a ``links`` list of link objects and
+an optional ``hash`` string.
+
+Run artifacts are report.json, trace.jsonl, topology.json, and topology.dot.
+One encoder writes the JSON ones: a dataclass becomes an object keyed by
+field name, a cost becomes its value, a tuple becomes a list, and infinite
+numbers become the strings "Infinity" / "-Infinity", so every artifact is
+strict JSON.
 """
 
 from __future__ import annotations
@@ -12,16 +26,17 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 from . import criteria as criteria_mod
-from .cost import CostBreakdown, total_cost
+from .cost import total_cost
 from .game import (
     DEFAULT_MAX_MOVES,
     Add,
@@ -31,10 +46,8 @@ from .game import (
     is_pairwise_stable,
 )
 from .model import (
-    GameConfig,
-    InterfaceSpec,
+    Cost,
     Link,
-    Node,
     Scenario,
     Topology,
     ValidationIssue,
@@ -51,157 +64,121 @@ class ScenarioFormatError(ValueError):
         super().__init__("; ".join(str(issue) for issue in issues))
 
 
-# -- JSON helpers --------------------------------------------------------------
+# -- JSON codec ----------------------------------------------------------------
 
-CONFIG_FIELDS = {"gamma": float, "alpha": float, "h_max": int, "path_loss_exponent": float, "tie_break": str}
 # Older scenario files name the only scan order there is; any other value is rejected.
 LEGACY_TIE_BREAK = "index"
+_INVALID = object()  # a value that failed to read; the reason is already in the issues
+_SCALARS = {float: (int, float), int: int, bool: bool, str: str}  # annotated type -> accepted JSON types
+_JSON_TYPES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    type(None): "null",
+}
 
 
-def _num(value: float) -> float | str:
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return value
+@functools.cache
+def _schema(cls: type) -> dict[str, tuple[Any, bool]]:
+    """Field name -> (annotated type, required) of a dataclass; required means no default."""
+    hints = get_type_hints(cls)
+    return {
+        field.name: (
+            hints[field.name],
+            field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING,
+        )
+        for field in dataclasses.fields(cls)
+    }
 
 
-def _expect(obj: Any, typ: type | tuple[type, ...], path: str, issues: list[ValidationIssue]) -> bool:
-    if typ is float:
-        typ = (int, float)
-    if isinstance(obj, bool) and typ != bool and not (isinstance(typ, tuple) and bool in typ):
-        issues.append(ValidationIssue(path, f"expected {typ}, got bool"))
-        return False
-    if not isinstance(obj, typ):
-        issues.append(ValidationIssue(path, f"expected {typ}, got {type(obj).__name__}"))
-        return False
-    return True
+def _fail(issues: list[ValidationIssue], path: str, message: str) -> object:
+    issues.append(ValidationIssue(path or "$", message))
+    return _INVALID
+
+
+def _expected(issues: list[ValidationIssue], path: str, what: str, raw: Any) -> object:
+    return _fail(issues, path, f"expected {what}, got {_JSON_TYPES.get(type(raw), type(raw).__name__)}")
+
+
+def _read(raw: Any, typ: Any, path: str, issues: list[ValidationIssue]) -> Any:
+    """``raw`` read as a value of ``typ``, or _INVALID after appending the reasons to ``issues``.
+
+    ``typ`` is float (a JSON number, stored as float), int, bool, str, a
+    tuple type, or a dataclass, whose fields are read by their annotations.
+    """
+    accepted = _SCALARS.get(typ)
+    if accepted is not None:
+        if not isinstance(raw, accepted) or isinstance(raw, bool) != (typ is bool):
+            return _expected(issues, path, _JSON_TYPES[typ], raw)
+        try:
+            return float(raw) if typ is float else raw
+        except OverflowError:
+            return _fail(issues, path, "number out of range")
+    if get_origin(typ) is tuple:
+        if not isinstance(raw, list):
+            return _expected(issues, path, "a list", raw)
+        item_types = get_args(typ)
+        if item_types[-1] is Ellipsis:
+            item_types = item_types[:1] * len(raw)
+        elif len(raw) != len(item_types):
+            return _fail(issues, path, f"expected a list of {len(item_types)} items, got {len(raw)}")
+        items = tuple([_read(item, t, f"{path}[{i}]", issues) for i, (item, t) in enumerate(zip(raw, item_types))])
+        return _INVALID if _INVALID in items else items
+    if not isinstance(raw, dict):
+        return _expected(issues, path, "an object", raw)
+    prefix = f"{path}." if path else ""
+    schema = _schema(typ)
+    issues.extend(ValidationIssue(prefix + key, "unknown field") for key in raw if key not in schema)
+    values = {}
+    for name, (field_type, required) in schema.items():
+        if name in raw:
+            values[name] = _read(raw[name], field_type, prefix + name, issues)
+        elif required:
+            values[name] = _fail(issues, prefix + name, "required")
+    if _INVALID in values.values():
+        return _INVALID
+    try:
+        return typ(**values)
+    except ValueError as exc:
+        return _fail(issues, path, str(exc))
+
+
+def _to_json(value: Any) -> Any:
+    """``value`` as JSON data: a dataclass as an object keyed by field name,
+    a Cost as its value, a tuple as a list, dict keys as strings, and +/-inf
+    as "Infinity" / "-Infinity"."""
+    if isinstance(value, float):
+        return ("Infinity" if value > 0 else "-Infinity") if math.isinf(value) else value
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _to_json(item) for key, item in value.items()}
+    if isinstance(value, Cost):
+        return _to_json(value.value)
+    return {name: _to_json(getattr(value, name)) for name in _schema(type(value))}
 
 
 def scenario_from_dict(raw: Any) -> Scenario:
     issues: list[ValidationIssue] = []
-    if not isinstance(raw, dict):
-        raise ScenarioFormatError([ValidationIssue("$", "scenario document must be a JSON object")])
-
-    config_raw = raw.get("config")
-    config = GameConfig(gamma=1.0)
-    if not isinstance(config_raw, dict):
-        issues.append(ValidationIssue("config", "missing or not an object"))
-    else:
-        typed: dict[str, Any] = {}
-        for key, value in config_raw.items():
-            if key not in CONFIG_FIELDS:
-                issues.append(ValidationIssue(f"config.{key}", "unknown field"))
-            elif key == "gamma" and value is None:
-                continue  # reported as required below
-            elif _expect(value, CONFIG_FIELDS[key], f"config.{key}", issues):
-                typed[key] = value
-        if config_raw.get("gamma") is None:
-            issues.append(ValidationIssue("config.gamma", "required"))
-        if typed.get("tie_break", LEGACY_TIE_BREAK) != LEGACY_TIE_BREAK:
-            issues.append(ValidationIssue("config.tie_break", f"unknown policy {typed['tie_break']!r}"))
-        if not issues:
-            config = GameConfig(
-                gamma=float(typed["gamma"]),
-                alpha=float(typed.get("alpha", 1.0)),
-                h_max=typed.get("h_max", 5),
-                path_loss_exponent=float(typed.get("path_loss_exponent", 2.0)),
-            )
-
-    nodes: list[Node] = []
-    nodes_raw = raw.get("nodes")
-    if not isinstance(nodes_raw, list):
-        issues.append(ValidationIssue("nodes", "missing or not a list"))
-        nodes_raw = []
-    for n_index, node_raw in enumerate(nodes_raw):
-        node_path = f"nodes[{n_index}]"
-        if not _expect(node_raw, dict, node_path, issues):
-            continue
-        ok = True
-        ok &= _expect(node_raw.get("id"), int, f"{node_path}.id", issues)
-        position_raw = node_raw.get("position")
-        if not (
-            isinstance(position_raw, list)
-            and len(position_raw) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in position_raw)
-        ):
-            issues.append(ValidationIssue(f"{node_path}.position", "expected [x, y] numbers"))
-            ok = False
-        ok &= _expect(node_raw.get("min_required_bitrate_bps"), float, f"{node_path}.min_required_bitrate_bps", issues)
-        interfaces_raw = node_raw.get("interfaces")
-        interfaces: list[InterfaceSpec] = []
-        if not isinstance(interfaces_raw, list):
-            issues.append(ValidationIssue(f"{node_path}.interfaces", "expected a list"))
-            ok = False
-        else:
-            for i_index, iface_raw in enumerate(interfaces_raw):
-                iface_path = f"{node_path}.interfaces[{i_index}]"
-                if not _expect(iface_raw, dict, iface_path, issues):
-                    ok = False
-                    continue
-                fields_ok = _expect(iface_raw.get("kind"), str, f"{iface_path}.kind", issues)
-                for field_name in ("frequency_hz", "max_bitrate_bps", "max_tx_power_w", "rx_sensitivity_w"):
-                    fields_ok &= _expect(iface_raw.get(field_name), float, f"{iface_path}.{field_name}", issues)
-                if not fields_ok:
-                    ok = False
-                    continue
-                interfaces.append(
-                    InterfaceSpec(
-                        kind=iface_raw["kind"],
-                        frequency_hz=float(iface_raw["frequency_hz"]),
-                        max_bitrate_bps=float(iface_raw["max_bitrate_bps"]),
-                        max_tx_power_w=float(iface_raw["max_tx_power_w"]),
-                        rx_sensitivity_w=float(iface_raw["rx_sensitivity_w"]),
-                        antenna_gain=float(iface_raw.get("antenna_gain", 1.0)),
-                    )
-                )
-        if not ok:
-            continue
-        nodes.append(
-            Node(
-                id=node_raw["id"],
-                position=(float(position_raw[0]), float(position_raw[1])),
-                interfaces=tuple(interfaces),
-                min_required_bitrate_bps=float(node_raw["min_required_bitrate_bps"]),
-                energy_weight=float(node_raw.get("energy_weight", 1.0)),
-                internet_connected=bool(node_raw.get("internet_connected", False)),
-            )
-        )
-
+    if isinstance(raw, dict) and isinstance(raw.get("config"), dict) and "tie_break" in raw["config"]:
+        config = dict(raw["config"])
+        tie_break = _read(config.pop("tie_break"), str, "config.tie_break", issues)
+        if tie_break is not _INVALID and tie_break != LEGACY_TIE_BREAK:
+            issues.append(ValidationIssue("config.tie_break", f"unknown policy {tie_break!r}"))
+        raw = {**raw, "config": config}
+    scenario = _read(raw, Scenario, "", issues)
     if issues:
         raise ScenarioFormatError(issues)
-    return Scenario(nodes=tuple(nodes), config=config)
+    return scenario
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    cfg = scenario.config
-    return {
-        "config": {
-            "gamma": cfg.gamma,
-            "alpha": cfg.alpha,
-            "h_max": cfg.h_max,
-            "path_loss_exponent": cfg.path_loss_exponent,
-        },
-        "nodes": [
-            {
-                "id": node.id,
-                "position": list(node.position),
-                "internet_connected": node.internet_connected,
-                "min_required_bitrate_bps": node.min_required_bitrate_bps,
-                "energy_weight": node.energy_weight,
-                "interfaces": [
-                    {
-                        "kind": iface.kind,
-                        "frequency_hz": iface.frequency_hz,
-                        "max_bitrate_bps": iface.max_bitrate_bps,
-                        "max_tx_power_w": iface.max_tx_power_w,
-                        "rx_sensitivity_w": iface.rx_sensitivity_w,
-                        "antenna_gain": iface.antenna_gain,
-                    }
-                    for iface in node.interfaces
-                ],
-            }
-            for node in scenario.nodes
-        ],
-    }
+    return _to_json(scenario)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -209,44 +186,17 @@ def load_scenario(path: str | Path) -> Scenario:
         return scenario_from_dict(json.load(handle))
 
 
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")
-
-
-def link_to_dict(link: Link) -> dict:
-    return {
-        "node_a": link.node_a,
-        "iface_a": link.iface_a,
-        "node_b": link.node_b,
-        "iface_b": link.iface_b,
-    }
-
-
 def topology_to_dict(topology: Topology) -> dict:
-    return {
-        "links": [link_to_dict(link) for link in sorted(topology.links)],
-        "hash": topology.canonical_hash(),
-    }
+    return {"links": _to_json(sorted(topology.links)), "hash": topology.canonical_hash()}
 
 
 def topology_from_dict(raw: Any, scenario: Scenario) -> Topology:
-    issues: list[ValidationIssue] = []
     if not isinstance(raw, dict) or not isinstance(raw.get("links"), list):
         raise ScenarioFormatError([ValidationIssue("$", "topology document must have a 'links' list")])
-    links = []
-    for index, link_raw in enumerate(raw["links"]):
-        path = f"links[{index}]"
-        if not _expect(link_raw, dict, path, issues):
-            continue
-        ok = True
-        for field_name in ("node_a", "iface_a", "node_b", "iface_b"):
-            ok &= _expect(link_raw.get(field_name), int, f"{path}.{field_name}", issues)
-        if not ok:
-            continue
-        if link_raw["node_a"] == link_raw["node_b"]:
-            issues.append(ValidationIssue(path, "endpoints must differ"))
-            continue
-        links.append(Link(link_raw["node_a"], link_raw["iface_a"], link_raw["node_b"], link_raw["iface_b"]))
+    issues = [ValidationIssue(key, "unknown field") for key in raw if key not in ("links", "hash")]
+    if "hash" in raw:
+        _read(raw["hash"], str, "hash", issues)
+    links = _read(raw["links"], tuple[Link, ...], "links", issues)
     if issues:
         raise ScenarioFormatError(issues)
     topology = Topology(scenario.nodes, frozenset(links))
@@ -264,103 +214,24 @@ def load_topology(path: str | Path, scenario: Scenario) -> Topology:
 # -- report assembly -----------------------------------------------------------
 
 
-def breakdown_to_dict(breakdown: CostBreakdown) -> dict:
-    return {
-        "link_cost_total": _num(breakdown.link_cost_total.value),
-        "ic_distance_term": _num(breakdown.ic_distance_term.value),
-        "non_ic_distance_term": _num(breakdown.non_ic_distance_term.value),
-        "bridging": _num(breakdown.bridging),
-        "total": _num(breakdown.total.value),
-    }
-
-
 def stability_to_dict(report: StabilityReport) -> dict:
-    return {
-        "stable": report.stable,
-        "severance_violations": [
-            {"node": node_id, "link": link_to_dict(link)}
-            for node_id, link in report.severance_violations
-        ],
-        "addition_violations": [link_to_dict(link) for link in report.addition_violations],
-    }
-
-
-def criteria_to_dict(report: criteria_mod.CriteriaReport) -> dict:
-    def result(res: criteria_mod.CriterionResult) -> dict:
-        return {
-            "holds": res.holds,
-            "witnesses": [
-                {
-                    "nodes": list(witness.nodes),
-                    "cost": _num(witness.cost),
-                    "threshold": _num(witness.threshold),
-                    "note": witness.note,
-                }
-                for witness in res.witnesses
-            ],
-        }
-
-    return {
-        "clique": result(report.clique),
-        "single_ic_link": result(report.single_ic_link),
-        "star": result(report.star),
-        "notes": list(report.notes),
-    }
-
-
-def structure_to_dict(report: criteria_mod.StructureReport) -> dict:
-    return {
-        "ic_clique": report.ic_clique,
-        "missing_ic_pairs": [list(pair) for pair in report.missing_ic_pairs],
-        "max_ic_links_per_non_ic": report.max_ic_links_per_non_ic,
-        "max_non_ic_degree": report.max_non_ic_degree,
-        "relays": list(report.relays),
-        "hierarchy_tiers": report.hierarchy_tiers,
-        "unattached_non_ic": list(report.unattached_non_ic),
-    }
-
-
-def move_to_dict(move) -> dict:
-    if isinstance(move, Add):
-        return {
-            "kind": "add",
-            "link": link_to_dict(move.link),
-            "delta_a": _num(move.delta_a),
-            "delta_b": _num(move.delta_b),
-        }
-    return {
-        "kind": "remove",
-        "link": link_to_dict(move.link),
-        "initiator": move.initiator,
-        "delta": _num(move.delta),
-    }
+    """The report as JSON data, each severance as a ``{"node", "link"}`` object rather than a pair."""
+    severances = [{"node": node_id, "link": link} for node_id, link in report.severance_violations]
+    return {**_to_json(report), "severance_violations": _to_json(severances)}
 
 
 def trace_to_jsonl(trace: DynamicsTrace) -> str:
     lines = []
     for step_index, step in enumerate(trace.steps):
-        lines.append(
-            json.dumps(
-                {
-                    "step": step_index,
-                    "move": move_to_dict(step.move),
-                    "topology_hash": step.topology_hash,
-                    "costs": {str(node_id): _num(value) for node_id, value in step.costs},
-                },
-                sort_keys=True,
-            )
-        )
+        move = {"kind": "add" if isinstance(step.move, Add) else "remove", **_to_json(step.move)}
+        row = {"step": step_index, "move": move, "topology_hash": step.topology_hash, "costs": _to_json(dict(step.costs))}
+        lines.append(json.dumps(row, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def build_run_report(scenario: Scenario, seed: int, topology: Topology, trace: DynamicsTrace) -> dict:
     stability = is_pairwise_stable(topology, scenario.config)
-    report = criteria_mod.criteria_report(scenario)
-    structure = criteria_mod.check_structure(topology)
-    costs = {
-        str(node.id): breakdown_to_dict(total_cost(node, topology, scenario.config))
-        for node in scenario.nodes
-    }
+    costs = {node.id: total_cost(node, topology, scenario.config) for node in scenario.nodes}
     return {
         "seed": seed,
         "gamma": scenario.config.gamma,
@@ -368,10 +239,10 @@ def build_run_report(scenario: Scenario, seed: int, topology: Topology, trace: D
         "moves": len(trace.steps),
         "topology_hash": topology.canonical_hash(),
         "topology": topology_to_dict(topology),
-        "costs": costs,
+        "costs": _to_json(costs),
         "stability": stability_to_dict(stability),
-        "criteria": criteria_to_dict(report),
-        "structure": structure_to_dict(structure),
+        "criteria": _to_json(criteria_mod.criteria_report(scenario)),
+        "structure": _to_json(criteria_mod.check_structure(topology)),
     }
 
 
@@ -407,7 +278,7 @@ def _load_validated_scenario(path: str) -> Scenario | None:
     except ScenarioFormatError as exc:
         _fail_issues(exc.issues)
         return None
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read scenario {path}: {exc}", file=sys.stderr)
         return None
     issues = validate_scenario(scenario.nodes, scenario.config)
@@ -447,7 +318,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         topology = load_topology(args.topology, scenario)
     except ScenarioFormatError as exc:
         return _fail_issues(exc.issues)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read topology {args.topology}: {exc}", file=sys.stderr)
         return 1
     report = is_pairwise_stable(topology, scenario.config)
@@ -486,10 +357,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    bad = [g for g in gammas if g < 1]
-    if bad:
-        print(f"error: gamma must be >= 1, rejected {bad}", file=sys.stderr)
-        return 1
+    sweep = [Scenario(scenario.nodes, dataclasses.replace(scenario.config, gamma=gamma)) for gamma in gammas]
+    issues = [issue for swept in sweep for issue in validate_scenario(swept.nodes, swept.config)]
+    if issues:
+        return _fail_issues(issues)
 
     fieldnames = [
         "gamma",
@@ -505,15 +376,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "relay_count",
     ]
     rows = []
-    for gamma in gammas:
-        swept = Scenario(nodes=scenario.nodes, config=dataclasses.replace(scenario.config, gamma=gamma))
+    for swept in sweep:
         report = criteria_mod.criteria_report(swept)
         for seed in range(args.seeds):
             topology, trace = best_response_dynamics(swept, seed=seed, max_moves=args.max_moves)
             structure = criteria_mod.check_structure(topology)
             rows.append(
                 {
-                    "gamma": gamma,
+                    "gamma": swept.config.gamma,
                     "seed": seed,
                     "converged": trace.converged,
                     "moves": len(trace.steps),

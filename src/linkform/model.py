@@ -59,7 +59,6 @@ class Cost:
 
 
 COST_INF = Cost(math.inf)
-COST_ZERO = Cost(0.0)
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,8 @@ class Topology:
 class GameConfig:
     """Global game parameters.
 
-    ``gamma`` weights hop distance to internet-connected nodes (must be >= 1),
+    ``gamma`` weights hop distance to internet-connected nodes (must be >= 1,
+    and small enough that ``gamma * h_max * (n - 1)`` stays finite),
     ``alpha`` scales the per-interface congestion factor, ``h_max`` is the
     hard cap on tolerated hop distance between any pair, and
     ``path_loss_exponent`` is the propagation exponent (2.0 = free space).
@@ -297,12 +297,26 @@ def _positive(value: object) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
 
 
+def _finite_product(*factors: float) -> bool:
+    """True when ``factors`` multiply to a finite float; False also when an int factor exceeds the float range."""
+    try:
+        return math.isfinite(math.prod(factors))
+    except OverflowError:
+        return False
+
+
 def validate_scenario(nodes: Iterable[Node], config: GameConfig) -> list[ValidationIssue]:
     """Check every type invariant; an empty report means the scenario is usable."""
     issues: list[ValidationIssue] = []
+    node_list = list(nodes)
 
     if config.gamma is None or not isinstance(config.gamma, (int, float)) or not config.gamma >= 1:
         issues.append(ValidationIssue("config.gamma", f"must be >= 1, got {config.gamma!r}"))
+    # the internet-connected distance term sums at most n - 1 hop counts of at most h_max each
+    elif isinstance(config.h_max, int) and not _finite_product(config.gamma, config.h_max, len(node_list) - 1):
+        issues.append(
+            ValidationIssue("config.gamma", f"gamma * h_max * (nodes - 1) must be finite, got gamma {config.gamma!r}")
+        )
     if not _positive(config.alpha):
         issues.append(ValidationIssue("config.alpha", f"must be positive, got {config.alpha!r}"))
     if not isinstance(config.h_max, int) or config.h_max < 1:
@@ -312,7 +326,6 @@ def validate_scenario(nodes: Iterable[Node], config: GameConfig) -> list[Validat
             ValidationIssue("config.path_loss_exponent", f"must be >= 2, got {config.path_loss_exponent!r}")
         )
 
-    node_list = list(nodes)
     if not node_list:
         issues.append(ValidationIssue("nodes", "scenario must contain at least one node"))
 

@@ -1,4 +1,4 @@
-"""Physical-layer feasibility: minimum transmit power and the in-range neighborhood.
+"""Physical-layer feasibility: minimum transmit power and link feasibility.
 
 The propagation model is deterministic generalized free-space path loss:
 
@@ -13,19 +13,10 @@ emit exactly the minimum required power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import GameConfig, InterfaceSpec, Node, distance_between
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Minimum transmit power for one direction and whether it fits the budget."""
-
-    required_tx_power_w: float
-    feasible: bool
 
 
 def required_tx_power(
@@ -46,13 +37,6 @@ def required_tx_power(
     return rx.rx_sensitivity_w * ratio**config.path_loss_exponent / (tx.antenna_gain * rx.antenna_gain)
 
 
-def link_budget(
-    tx: InterfaceSpec, rx: InterfaceSpec, distance_m: float, config: GameConfig
-) -> LinkBudget:
-    required = required_tx_power(tx, rx, distance_m, config)
-    return LinkBudget(required_tx_power_w=required, feasible=required <= tx.max_tx_power_w)
-
-
 def link_feasible(node_i: Node, r_i: int, node_j: Node, r_j: int, config: GameConfig) -> bool:
     """True iff the interface pair matches and both directions fit their power budgets.
 
@@ -70,15 +54,3 @@ def link_feasible(node_i: Node, r_i: int, node_j: Node, r_j: int, config: GameCo
     backward = required_tx_power(iface_j, iface_i, distance, config)
     return forward <= iface_i.max_tx_power_w and backward <= iface_j.max_tx_power_w
 
-
-def neighborhood(node_i: Node, nodes: frozenset[Node] | set[Node] | tuple[Node, ...], config: GameConfig) -> set[tuple[int, int, int]]:
-    """All feasible (peer id, own interface, peer interface) triples for ``node_i``."""
-    triples: set[tuple[int, int, int]] = set()
-    for peer in nodes:
-        if peer.id == node_i.id:
-            continue
-        for r_i in range(len(node_i.interfaces)):
-            for r_j in range(len(peer.interfaces)):
-                if link_feasible(node_i, r_i, peer, r_j, config):
-                    triples.add((peer.id, r_i, r_j))
-    return triples

@@ -1,17 +1,27 @@
+import copy
 import json
+import random
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from generators import clique_suite_scenario, free_scenario, random_graph_scenario, random_topology, uplink_suite_scenario
 from linkform.cli import (
+    ScenarioFormatError,
     fixture_path,
     load_scenario,
     main,
     scenario_from_dict,
     scenario_to_dict,
+    topology_from_dict,
+    topology_to_dict,
     topology_to_dot,
 )
-from linkform.model import Link, Topology
+from linkform.game import best_response_dynamics
+from linkform.model import Link, Topology, validate_scenario
 
 FIXTURE_570 = str(fixture_path("smart_home_gamma570.json"))
 FIXTURE_600 = str(fixture_path("smart_home_gamma600.json"))
@@ -195,8 +205,164 @@ def test_malformed_scenario_reports_json_paths(tmp_path, capsys):
 
 
 def test_scenario_round_trip_lossless():
-    scenario = load_scenario(FIXTURE_570)
-    assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+    scenarios = [
+        load_scenario(FIXTURE_570),
+        load_scenario(FIXTURE_600),
+        clique_suite_scenario(3),
+        uplink_suite_scenario(5),
+        free_scenario(7),
+        random_graph_scenario(11)[0],
+    ]
+    for scenario in scenarios:
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+
+def test_topology_round_trip_lossless():
+    fixture = load_scenario(FIXTURE_570)
+    free = free_scenario(7)
+    graph_scenario, graph, _, _ = random_graph_scenario(11)
+    cases = [
+        (fixture, best_response_dynamics(fixture)[0]),
+        (graph_scenario, graph),
+        (free, random_topology(free, random.Random(7))),
+    ]
+    for scenario, topology in cases:
+        assert topology.links
+        assert topology_from_dict(topology_to_dict(topology), scenario) == topology
+
+
+def document_paths(value, path=()):
+    """Every path in a JSON document, the root's () first."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from document_paths(child, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def mutations(document):
+    """Drop a key or list item, add an unknown key to an object, or replace any value."""
+    paths = list(document_paths(document))
+    objects = [path for path in paths if isinstance(reduce(getitem, path, document), dict)]
+    return st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(paths[1:]), st.none()),
+        st.tuples(st.just("add"), st.sampled_from(objects), JSON_VALUES),
+        st.tuples(st.just("replace"), st.sampled_from(paths), JSON_VALUES),
+    )
+
+
+def mutated(document, mutation):
+    kind, path, value = mutation
+    document = copy.deepcopy(document)
+    if kind == "add":
+        reduce(getitem, path, document)["unknown_key"] = value
+    elif not path:
+        document = value
+    elif kind == "drop":
+        del reduce(getitem, path[:-1], document)[path[-1]]
+    else:
+        reduce(getitem, path[:-1], document)[path[-1]] = value
+    return document
+
+
+FIXTURE_DOCUMENT = json.loads(Path(FIXTURE_570).read_text())
+FIXTURE_SCENARIO = scenario_from_dict(FIXTURE_DOCUMENT)
+TOPOLOGY_DOCUMENT = topology_to_dict(best_response_dynamics(FIXTURE_SCENARIO)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations(FIXTURE_DOCUMENT))
+def test_mutated_scenario_is_read_or_rejected(mutation):
+    try:
+        scenario = scenario_from_dict(mutated(FIXTURE_DOCUMENT, mutation))
+    except ScenarioFormatError:
+        return
+    assert isinstance(validate_scenario(scenario.nodes, scenario.config), list)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations(TOPOLOGY_DOCUMENT))
+def test_mutated_topology_is_read_or_rejected(mutation):
+    try:
+        topology = topology_from_dict(mutated(TOPOLOGY_DOCUMENT, mutation), FIXTURE_SCENARIO)
+    except ScenarioFormatError:
+        return
+    assert isinstance(topology, Topology)
+
+
+def set_at(path, value):
+    def edit(document):
+        reduce(getitem, path[:-1], document)[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (set_at(("nodes", 3, "energy_weight"), "x"), "nodes[3].energy_weight: expected a number, got a string"),
+        (set_at(("nodes", 3, "energy_weight"), None), "nodes[3].energy_weight: expected a number, got null"),
+        (
+            set_at(("nodes", 0, "interfaces", 1, "antenna_gain"), "x"),
+            "nodes[0].interfaces[1].antenna_gain: expected a number, got a string",
+        ),
+        (set_at(("nodes", 3, "internet_connected"), "no"), "nodes[3].internet_connected: expected a boolean"),
+        (set_at(("nodes", 3, "energy_wieght"), 2.0), "nodes[3].energy_wieght: unknown field"),
+        (set_at(("nodes", 0, "interfaces", 1, "antena_gain"), 2.0), "nodes[0].interfaces[1].antena_gain: unknown field"),
+        (set_at(("nodez",), []), "nodez: unknown field"),
+        (set_at(("config", "gamma"), 1e308), "config.gamma: gamma * h_max * (nodes - 1) must be finite"),
+    ],
+    ids=["weight-string", "weight-null", "gain-string", "ic-string", "weight-typo", "gain-typo", "nodez", "gamma-1e308"],
+)
+def test_bad_scenario_exits_1_with_path(tmp_path, capsys, edit, error):
+    document = copy.deepcopy(FIXTURE_DOCUMENT)
+    edit(document)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(document))
+    assert run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path / "o")) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+def test_sweep_rejects_overflowing_gamma(capsys):
+    assert run_cli("sweep", "--scenario", FIXTURE_570, "--gamma", "1e308") == 1
+    assert "error: config.gamma: gamma * h_max * (nodes - 1) must be finite" in capsys.readouterr().err
+
+
+def test_check_rejects_unknown_link_key(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("run", "--scenario", FIXTURE_570, "--out", str(out))
+    topology = json.loads((out / "topology.json").read_text())
+    topology["links"][2]["weight"] = 1
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(topology))
+    assert run_cli("check", "--scenario", FIXTURE_570, "--topology", str(edited)) == 1
+    assert "error: links[2].weight: unknown field" in capsys.readouterr().err
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_artifacts_are_strict_json(tmp_path):
+    out = tmp_path / "capped"
+    assert run_cli("run", "--scenario", FIXTURE_570, "--out", str(out), "--max-moves", "1") == 2
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+    for line in (out / "trace.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=reject_constant)
+    linked = {link[end] for link in report["topology"]["links"] for end in ("node_a", "node_b")}
+    isolated = [node_id for node_id in report["costs"] if int(node_id) not in linked]
+    assert isolated
+    assert all(report["costs"][node_id]["total"] == "Infinity" for node_id in isolated)
 
 
 def test_dot_export_content(tmp_path):

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from linkform.model import GameConfig
-from linkform.propagation import (
-    SPEED_OF_LIGHT_M_S,
-    link_budget,
-    link_feasible,
-    neighborhood,
-    required_tx_power,
-)
+from linkform.propagation import SPEED_OF_LIGHT_M_S, link_feasible, required_tx_power
 
 from conftest import BLUETOOTH, WLAN, ZWAVE, make_iface, make_node
 
@@ -69,11 +63,6 @@ def test_domain_errors():
         required_tx_power(WLAN, WLAN, 0.0, CFG)
 
 
-def test_link_budget_flags_overbudget():
-    assert link_budget(WLAN, WLAN, 10.0, CFG).feasible
-    assert not link_budget(ZWAVE, ZWAVE, 2000.0, CFG).feasible
-
-
 def test_link_feasible_table_values():
     a = make_node(0, (0.0, 0.0), (WLAN,), b_min=1e7)
     b = make_node(1, (10.0, 0.0), (WLAN,), b_min=1e7)
@@ -81,6 +70,9 @@ def test_link_feasible_table_values():
 
     z = make_node(2, (10.0, 0.0), (ZWAVE,), b_min=5e3)
     assert not link_feasible(a, 0, z, 0, CFG)  # kind mismatch
+
+    # co-located nodes need no transmit power
+    assert link_feasible(make_node(3, (5.0, 5.0)), 0, make_node(4, (5.0, 5.0)), 0, CFG)
 
 
 def test_bluetooth_range_cutoff():
@@ -99,24 +91,12 @@ def test_feasibility_symmetric():
     assert link_feasible(strong, 0, weak, 0, CFG) == link_feasible(weak, 0, strong, 0, CFG)
 
 
-def test_neighborhood_single_node_empty():
-    alone = make_node(0, (0.0, 0.0))
-    assert neighborhood(alone, {alone}, CFG) == set()
-
-
-def test_neighborhood_colocated_pair():
-    a = make_node(0, (5.0, 5.0))
-    b = make_node(1, (5.0, 5.0))
-    assert neighborhood(a, {a, b}, CFG) == {(1, 0, 0)}
-    assert neighborhood(b, {a, b}, CFG) == {(0, 0, 0)}
-
-
-def test_neighborhood_excludes_out_of_range_zwave():
+def test_zwave_range_cutoff():
+    # invert the free-space budget for the 1 mW Z-Wave limit
     d_max = math.sqrt(1e-3 / 6.3e-13) * SPEED_OF_LIGHT_M_S / (4.0 * math.pi * 0.908e9)
     a = make_node(0, (0.0, 0.0), (ZWAVE,), b_min=5e3)
-    b = make_node(1, (d_max * 1.05, 0.0), (ZWAVE,), b_min=5e3)
-    c = make_node(2, (d_max * 0.5, 0.0), (ZWAVE,), b_min=5e3)
-    nodes = {a, b, c}
-    assert neighborhood(a, nodes, CFG) == {(2, 0, 0)}
-    # mutual membership with mirrored interface pair
-    assert (0, 0, 0) in neighborhood(c, nodes, CFG)
+    near = make_node(1, (d_max * 0.5, 0.0), (ZWAVE,), b_min=5e3)
+    far = make_node(2, (d_max * 1.05, 0.0), (ZWAVE,), b_min=5e3)
+    assert link_feasible(a, 0, near, 0, CFG)
+    assert link_feasible(near, 0, a, 0, CFG)
+    assert not link_feasible(a, 0, far, 0, CFG)
