@@ -24,6 +24,7 @@ strict JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -197,6 +198,13 @@ def topology_from_dict(raw: Any, scenario: Scenario) -> Topology:
     if "hash" in raw:
         _read(raw["hash"], str, "hash", issues)
     links = _read(raw["links"], tuple[Link, ...], "links", issues)
+    if links is not _INVALID:
+        first: dict[Link, int] = {}  # index of each link's first entry; Link ignores endpoint order
+        issues += [
+            ValidationIssue(f"links[{k}]", f"duplicate of links[{first[link]}]")
+            for k, link in enumerate(links)
+            if first.setdefault(link, k) != k
+        ]
     if issues:
         raise ScenarioFormatError(issues)
     topology = Topology(scenario.nodes, frozenset(links))
@@ -272,6 +280,18 @@ def _fail_issues(issues: list[ValidationIssue]) -> int:
     return 1
 
 
+def _write_files(out_dir: Path, files: dict[str, str]) -> bool:
+    """Create ``out_dir`` and write each named text into it; False after an error line on failure."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _load_validated_scenario(path: str) -> Scenario | None:
     try:
         scenario = load_scenario(path)
@@ -293,15 +313,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     if scenario is None:
         return 1
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _write_files(out_dir, {}):  # an unusable --out fails before the run
+        return 1
     topology, trace = best_response_dynamics(scenario, seed=args.seed, max_moves=args.max_moves)
     report = build_run_report(scenario, args.seed, topology, trace)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    (out_dir / "trace.jsonl").write_text(trace_to_jsonl(trace))
-    (out_dir / "topology.json").write_text(
-        json.dumps(topology_to_dict(topology), indent=2, sort_keys=True) + "\n"
-    )
-    (out_dir / "topology.dot").write_text(topology_to_dot(topology))
+    artifacts = {
+        "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n",
+        "trace.jsonl": trace_to_jsonl(trace),
+        "topology.json": json.dumps(topology_to_dict(topology), indent=2, sort_keys=True) + "\n",
+        "topology.dot": topology_to_dot(topology),
+    }
+    if not _write_files(out_dir, artifacts):
+        return 1
     status = "converged" if trace.converged else "did not converge"
     print(
         f"{status} after {len(trace.steps)} moves; stable={report['stability']['stable']}; "
@@ -324,10 +347,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = is_pairwise_stable(topology, scenario.config)
     payload = json.dumps(stability_to_dict(report), indent=2, sort_keys=True)
     print(payload)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "stability.json").write_text(payload + "\n")
+    if args.out and not _write_files(Path(args.out), {"stability.json": payload + "\n"}):
+        return 1
     return 0 if report.stable else 2
 
 
@@ -338,8 +359,14 @@ def _parse_gamma_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("gamma range must be A:B:STEP or a single value")
     start, stop, step = (float(part) for part in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"gamma range start, stop and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("gamma step must be positive")
+    if start > stop:
+        raise ValueError(f"gamma range {text!r} is empty: start exceeds stop")
+    if start + step == start or stop + step == stop:
+        raise ValueError(f"gamma step {step!r} is too small to advance past {max(abs(start), abs(stop))!r}")
     values = []
     current = start
     while current <= stop + 1e-9:
@@ -375,39 +402,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "max_non_ic_degree",
         "relay_count",
     ]
-    rows = []
-    for swept in sweep:
-        report = criteria_mod.criteria_report(swept)
-        for seed in range(args.seeds):
-            topology, trace = best_response_dynamics(swept, seed=seed, max_moves=args.max_moves)
-            structure = criteria_mod.check_structure(topology)
-            rows.append(
-                {
-                    "gamma": swept.config.gamma,
-                    "seed": seed,
-                    "converged": trace.converged,
-                    "moves": len(trace.steps),
-                    "clique_criterion": report.clique.holds,
-                    "single_ic_link_criterion": report.single_ic_link.holds,
-                    "star_criterion": report.star.holds,
-                    "ic_clique": structure.ic_clique,
-                    "max_ic_links_per_non_ic": structure.max_ic_links_per_non_ic,
-                    "max_non_ic_degree": structure.max_non_ic_degree,
-                    "relay_count": len(structure.relays),
-                }
-            )
-
-    if args.out:
-        handle = open(args.out, "w", newline="", encoding="utf-8")
-    else:
-        handle = sys.stdout
-    try:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
+    try:  # opened before the sweep so that an unwritable path fails fast
+        handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    with handle as out:
+        writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            handle.close()
+        for swept in sweep:
+            report = criteria_mod.criteria_report(swept)
+            for seed in range(args.seeds):
+                topology, trace = best_response_dynamics(swept, seed=seed, max_moves=args.max_moves)
+                structure = criteria_mod.check_structure(topology)
+                writer.writerow(
+                    {
+                        "gamma": swept.config.gamma,
+                        "seed": seed,
+                        "converged": trace.converged,
+                        "moves": len(trace.steps),
+                        "clique_criterion": report.clique.holds,
+                        "single_ic_link_criterion": report.single_ic_link.holds,
+                        "star_criterion": report.star.holds,
+                        "ic_clique": structure.ic_clique,
+                        "max_ic_links_per_non_ic": structure.max_ic_links_per_non_ic,
+                        "max_non_ic_degree": structure.max_non_ic_degree,
+                        "relay_count": len(structure.relays),
+                    }
+                )
     return 0
 
 
@@ -456,6 +478,11 @@ def main(argv: list[str] | None = None) -> int:
     sweep_parser.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
+    for flag, minimum in (("max_moves", 0), ("seeds", 1)):
+        value = getattr(args, flag, minimum)
+        if value < minimum:
+            print(f"error: --{flag.replace('_', '-')} must be >= {minimum}, got {value}", file=sys.stderr)
+            return 1
     return args.func(args)
 
 

@@ -9,10 +9,11 @@ lowers that count. This lets an empty network bootstrap itself (the first links
 reduce unreachability even though both states are infinite) while staying
 conservative between equally-disconnected states.
 
-One deviation engine serves dynamics, stability and enumeration: ``_severances``
-scans each node's links by node, then peer id, and ``_additions`` scans absent
-pairs in pair order. Among one pair's mutually improving pairings the one with
-the lowest delta for the lower-id endpoint wins, then the lowest interfaces.
+One deviation engine serves dynamics, stability and enumeration. Its scans
+yield moves: ``_severances`` a ``Remove`` per improving severance, by node, then
+peer id, and ``_additions`` one ``Add`` per absent pair, in pair order, with the
+pair's best mutually improving pairing: the lowest delta for the lower-id
+endpoint wins, then the lowest interfaces.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import (
@@ -40,7 +40,6 @@ from .propagation import link_feasible, required_tx_power
 DEFAULT_MAX_MOVES = 10_000
 
 State = tuple[float, int]  # (total cost, peers unreachable within h_max)
-Addition = tuple[float, int, int, tuple[int, int], float]  # (delta_a, r_a, r_b, pair, delta_b)
 
 
 @dataclass(frozen=True)
@@ -153,12 +152,6 @@ def pairing_table(scenario: Scenario) -> PairingTable:
     return table
 
 
-class _LinkRecord(NamedTuple):
-    pair: tuple[int, int]
-    ifaces: tuple[int, int]
-    units: tuple[float, float]
-
-
 class _Evaluator:
     """Incremental cost evaluation for one scenario across candidate link sets.
 
@@ -166,58 +159,45 @@ class _Evaluator:
     cap) against a small mutable link set.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
         self.cfg = scenario.config
         self.ids: tuple[int, ...] = scenario.ids
         self.n = len(self.ids)
         self.by_id = scenario.node_map
         self.is_ic = {node.id: node.internet_connected for node in scenario.nodes}
         self.adj: dict[int, set[int]] = {i: set() for i in self.ids}
-        self.iface_of: dict[tuple[int, int], tuple[int, int]] = {}
-        self.units: dict[tuple[int, int], tuple[float, float]] = {}
+        self.links: dict[tuple[int, int], PairingOption] = {}  # each link as priced, by (lower id, higher id)
+        self.load(links)
 
     # -- mutable link set -----------------------------------------------------
 
-    def reset(self) -> None:
-        for members in self.adj.values():
-            members.clear()
-        self.iface_of.clear()
-        self.units.clear()
-
     def load(self, links: Iterable[Link]) -> None:
         """Install an arbitrary link set, pricing infeasible links as infinite."""
-        self.reset()
+        for members in self.adj.values():
+            members.clear()
+        self.links.clear()
         for link in links:
             self.place_link(link)
 
-    def _place(self, pair: tuple[int, int], ifaces: tuple[int, int], units: tuple[float, float]) -> None:
+    def place_link(self, link: Link) -> None:
+        node_a, node_b = self.by_id[link.node_a], self.by_id[link.node_b]
+        self.place(link.pair, _pairing(self.cfg, node_a, link.iface_a, node_b, link.iface_b))
+
+    def place(self, pair: tuple[int, int], option: PairingOption) -> None:
         a, b = pair
         self.adj[a].add(b)
         self.adj[b].add(a)
-        self.iface_of[pair] = ifaces
-        self.units[pair] = units
+        self.links[pair] = option
 
-    def place_option(self, pair: tuple[int, int], option: PairingOption) -> None:
-        self._place(pair, (option.r_a, option.r_b), (option.unit_a, option.unit_b))
-
-    def place_link(self, link: Link) -> None:
-        node_a, node_b = self.by_id[link.node_a], self.by_id[link.node_b]
-        self.place_option(link.pair, _pairing(self.cfg, node_a, link.iface_a, node_b, link.iface_b))
-
-    def remove_pair(self, a: int, b: int) -> _LinkRecord:
-        pair = (a, b) if a < b else (b, a)
-        record = _LinkRecord(pair, self.iface_of.pop(pair), self.units.pop(pair))
-        self.adj[pair[0]].discard(pair[1])
-        self.adj[pair[1]].discard(pair[0])
-        return record
-
-    def restore(self, record: _LinkRecord) -> None:
-        self._place(record.pair, record.ifaces, record.units)
+    def remove(self, pair: tuple[int, int]) -> PairingOption:
+        a, b = pair
+        option = self.links.pop(pair)
+        self.adj[a].discard(b)
+        self.adj[b].discard(a)
+        return option
 
     def links_snapshot(self) -> frozenset[Link]:
-        return frozenset(
-            Link(pair[0], ifaces[0], pair[1], ifaces[1]) for pair, ifaces in self.iface_of.items()
-        )
+        return frozenset(Link(a, option.r_a, b, option.r_b) for (a, b), option in self.links.items())
 
     # -- evaluation -----------------------------------------------------------
 
@@ -232,10 +212,12 @@ class _Evaluator:
             per_r_cnt: dict[int, int] = {}
             inverse_degrees = 0.0
             for peer in adj_i:
-                pair = (i, peer) if i < peer else (peer, i)
-                low_side = i == pair[0]
-                r_own = self.iface_of[pair][0 if low_side else 1]
-                unit = self.units[pair][0 if low_side else 1]
+                if i < peer:
+                    option = self.links[(i, peer)]
+                    r_own, unit = option.r_a, option.unit_a
+                else:
+                    option = self.links[(peer, i)]
+                    r_own, unit = option.r_b, option.unit_b
                 per_r_sum[r_own] = per_r_sum.get(r_own, 0.0) + unit
                 per_r_cnt[r_own] = per_r_cnt.get(r_own, 0) + 1
                 inverse_degrees += 1.0 / len(self.adj[peer])
@@ -309,12 +291,12 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
     state = evaluator.state
     for i in node_order:
         for peer in sorted(evaluator.adj[i]):
-            record = evaluator.remove_pair(i, peer)
+            a, b = pair = (i, peer) if i < peer else (peer, i)
+            option = evaluator.remove(pair)
             after = state(i)
-            evaluator.restore(record)
+            evaluator.place(pair, option)
             if _improves(base[i], after):
-                (a, b), (r_a, r_b) = record.pair, record.ifaces
-                yield Remove(link=Link(a, r_a, b, r_b), initiator=i, delta=_resolved_delta(base[i], after))
+                yield Remove(link=Link(a, option.r_a, b, option.r_b), initiator=i, delta=_resolved_delta(base[i], after))
 
 
 def _additions(
@@ -322,13 +304,12 @@ def _additions(
     base: dict[int, State],
     pairings: PairingTable,
     pair_order: Iterable[tuple[int, int]],
-) -> Iterator[Addition]:
-    """Every mutually improving pairing of each absent pair, in pair order, then option order.
+) -> Iterator[Add]:
+    """The best mutually improving pairing of each absent pair, in pair order.
 
-    Items are (delta_a, r_a, r_b, pair, delta_b) with ``a`` the lower id, so
-    ``min`` over one pair's items applies the tie rule. Endpoint ``b`` is
-    evaluated only when ``a`` improves. The link set is restored before each
-    yield.
+    Best is the lowest delta for ``a``, the lower id, then the lowest
+    (r_a, r_b). Endpoint ``b`` is evaluated only when ``a`` improves. The
+    link set is restored before each yield.
     """
     state = evaluator.state
     for pair in pair_order:
@@ -337,30 +318,28 @@ def _additions(
             continue
         before_a = base[a]
         before_b = base[b]
+        improving = []
         for option in pairings[pair]:
-            evaluator.place_option(pair, option)
+            evaluator.place(pair, option)
             after_a = state(a)
             after_b = state(b) if _improves(before_a, after_a) else None
-            evaluator.remove_pair(a, b)
+            evaluator.remove(pair)
             if after_b is not None and _improves(before_b, after_b):
-                delta_a = _resolved_delta(before_a, after_a)
-                yield (delta_a, option.r_a, option.r_b, pair, _resolved_delta(before_b, after_b))
-
-
-def _evaluator_for(topology: Topology, config: GameConfig) -> _Evaluator:
-    evaluator = _Evaluator(Scenario(topology.nodes, config))
-    evaluator.load(topology.links)
-    return evaluator
+                delta_b = _resolved_delta(before_b, after_b)
+                improving.append((_resolved_delta(before_a, after_a), option.r_a, option.r_b, delta_b))
+        if improving:
+            delta_a, r_a, r_b, delta_b = min(improving)
+            yield Add(link=Link(a, r_a, b, r_b), delta_a=delta_a, delta_b=delta_b)
 
 
 def _toggle_states(
     topology: Topology, config: GameConfig, link: Link, ids: tuple[int, ...]
 ) -> list[tuple[State, State]]:
     """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added."""
-    evaluator = _evaluator_for(topology, config)
+    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     before = [evaluator.state(i) for i in ids]
     if link in topology.links:
-        evaluator.remove_pair(link.node_a, link.node_b)
+        evaluator.remove(link.pair)
     else:
         evaluator.place_link(link)
     return list(zip(before, [evaluator.state(i) for i in ids]))
@@ -434,19 +413,14 @@ def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityRepor
     Severances are reported by link, then endpoint; additions by pair, each
     with its best pairing.
     """
-    evaluator = _evaluator_for(topology, config)
+    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     pairings = pairing_table(Scenario(topology.nodes, config))
     base = {i: evaluator.state(i) for i in evaluator.ids}
     severance = sorted(
         ((move.initiator, move.link) for move in _severances(evaluator, base, evaluator.ids)),
         key=lambda incidence: (incidence[1], incidence[0]),
     )
-    additions = []
-    for pair, items in itertools.groupby(
-        _additions(evaluator, base, pairings, sorted(pairings)), key=itemgetter(3)
-    ):
-        _, r_a, r_b, _, _ = min(items)
-        additions.append(Link(pair[0], r_a, pair[1], r_b))
+    additions = [move.link for move in _additions(evaluator, base, pairings, sorted(pairings))]
     return StabilityReport(
         stable=not severance and not additions,
         severance_violations=tuple(severance),
@@ -491,12 +465,9 @@ def best_response_dynamics(
             converged = True
             break
         if isinstance(move, Remove):
-            evaluator.remove_pair(move.link.node_a, move.link.node_b)
+            evaluator.remove(move.link.pair)
         else:
-            pair = move[3]
-            delta_a, r_a, r_b, _, delta_b = min(_additions(evaluator, base, pairings, [pair]))
-            evaluator.place_option(pair, next(o for o in pairings[pair] if (o.r_a, o.r_b) == (r_a, r_b)))
-            move = Add(link=Link(pair[0], r_a, pair[1], r_b), delta_a=delta_a, delta_b=delta_b)
+            evaluator.place_link(move.link)
         steps.append(
             TraceStep(
                 move=move,
@@ -534,10 +505,10 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     option_lists: list[tuple[PairingOption | None, ...]] = [(None, *pairings[pair]) for pair in pair_order]
     stable: set[Topology] = set()
     for combo in itertools.product(*option_lists):
-        evaluator.reset()
+        evaluator.load(())
         for pair, option in zip(pair_order, combo):
             if option is not None:
-                evaluator.place_option(pair, option)
+                evaluator.place(pair, option)
         # additions first: most enumerated link sets fail on an absent pair
         base = _BaseStates(evaluator)
         deviations = itertools.chain(

@@ -1,17 +1,21 @@
-"""The traced benchmark rebinds public linkform functions by name.
+"""The benchmark's own code, checked from Tier-1.
 
-Deleting or renaming one of them breaks ``perfbench/run.py --trace 1``; this
-test makes that a Tier-1 failure. It imports the modules in place instead of
+The traced benchmark rebinds public linkform functions by name. Deleting or
+renaming one of them breaks ``perfbench/run.py --trace 1``; the first test
+makes that a Tier-1 failure. It imports the modules in place instead of
 through ``workloads.fresh_import``, which would replace the linkform modules
-that the other tests hold.
+that the other tests hold. For the same reason ``perfbench/selftest.py``,
+which calls ``fresh_import`` at import time, runs in a subprocess.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
@@ -27,3 +31,10 @@ def test_install_spans_finds_every_rebound_name():
     finally:
         tracer.restore()
     assert lf.cli.load_scenario is original
+
+
+def test_benchmark_selftest_passes():
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from generators import clique_suite_scenario, free_scenario, random_graph_scenario, random_topology, uplink_suite_scenario
 from linkform.cli import (
     ScenarioFormatError,
+    _parse_gamma_range,
     fixture_path,
     load_scenario,
     main,
@@ -434,3 +435,97 @@ def test_non_integer_env_default_is_rejected(tmp_path, monkeypatch, capsys, name
     monkeypatch.setenv(name, "abc")
     assert run_cli("run", "--scenario", FIXTURE_570, "--out", str(tmp_path / "o")) == 1
     assert f"error: {name} must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def capped_argv(command, tmp_path):
+    if command == "run":
+        return ["run", "--scenario", FIXTURE_570, "--out", str(tmp_path / "o")]
+    return ["sweep", "--scenario", FIXTURE_570, "--gamma", "570", "--out", str(tmp_path / "o.csv")]
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_move_cap_is_rejected(tmp_path, monkeypatch, capsys, command, source):
+    argv = capped_argv(command, tmp_path)
+    if source == "flag":
+        argv += ["--max-moves", "-1"]
+    else:
+        monkeypatch.setenv("LINKFORM_MAX_MOVES", "-1")
+    assert run_cli(*argv) == 1
+    assert "error: --max-moves must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_seed_count_below_one_is_rejected(tmp_path, capsys, seeds):
+    assert run_cli(*capped_argv("sweep", tmp_path), "--seeds", seeds) == 1
+    assert f"error: --seeds must be >= 1, got {seeds}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def swapped(link):
+    return {"node_a": link["node_b"], "iface_a": link["iface_b"], "node_b": link["node_a"], "iface_b": link["iface_a"]}
+
+
+@pytest.mark.parametrize(
+    "links, error",
+    [
+        (lambda links: links + [dict(links[0])], f"links[{len(TOPOLOGY_DOCUMENT['links'])}]: duplicate of links[0]"),
+        (lambda links: [links[0], swapped(links[0])], "links[1]: duplicate of links[0]"),
+    ],
+    ids=["repeated", "swapped"],
+)
+def test_duplicate_link_entry_is_rejected(tmp_path, capsys, links, error):
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"links": links(copy.deepcopy(TOPOLOGY_DOCUMENT["links"]))}))
+    assert run_cli("check", "--scenario", FIXTURE_570, "--topology", str(topology)) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("570:inf:10", "must be finite"),
+        ("-inf:570:10", "must be finite"),
+        ("570:600:nan", "must be finite"),
+        ("700:500:10", "is empty"),
+        ("1e17:1e17:1", "too small to advance"),
+    ],
+)
+def test_bad_gamma_range_is_rejected(text, error):
+    with pytest.raises(ValueError, match=error):
+        _parse_gamma_range(text)
+
+
+def test_gamma_ranges_keep_their_values():
+    assert _parse_gamma_range("570") == [570.0]
+    assert _parse_gamma_range("570:570:10") == [570.0]
+    assert _parse_gamma_range("500:700:10") == [500.0 + 10 * k for k in range(21)]
+
+
+def test_sweep_rejects_empty_gamma_range(capsys):
+    assert run_cli("sweep", "--scenario", FIXTURE_570, "--gamma", "700:500:10") == 1
+    assert "error: gamma range '700:500:10' is empty" in capsys.readouterr().err
+
+
+def test_run_out_that_is_a_file_is_rejected(tmp_path, capsys):
+    out = tmp_path / "file"
+    out.write_text("")
+    assert run_cli("run", "--scenario", FIXTURE_570, "--out", str(out)) == 1
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_check_out_that_is_a_file_is_rejected(tmp_path, capsys):
+    run_cli("run", "--scenario", FIXTURE_570, "--out", str(tmp_path / "run"))
+    out = tmp_path / "file"
+    out.write_text("")
+    topology = str(tmp_path / "run" / "topology.json")
+    assert run_cli("check", "--scenario", FIXTURE_570, "--topology", topology, "--out", str(out)) == 1
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_sweep_out_in_a_missing_directory_is_rejected(tmp_path, capsys):
+    out = tmp_path / "missing" / "sweep.csv"
+    assert run_cli("sweep", "--scenario", FIXTURE_570, "--gamma", "570", "--out", str(out)) == 1
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert not out.parent.exists()

@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from linkform.cli import trace_to_jsonl
+from linkform.cli import fixture_path, load_scenario, trace_to_jsonl
 from linkform.cost import total_cost
 from linkform.game import (
     Add,
@@ -25,8 +26,8 @@ from linkform.model import (
 )
 
 from conftest import WLAN, make_iface, make_node
-from generators import free_scenario
-from oracles import stability_oracle
+from generators import feasible_pairings, free_scenario
+from oracles import improves_naive, node_state_naive, resolved_delta_naive, stability_oracle
 
 MESH = make_iface("mesh", 1.0e9, 1.0e6, 1.0, 1e-9)
 
@@ -288,6 +289,88 @@ def test_add_moves_always_mutually_consented():
             else:
                 assert isinstance(step.move, Remove)
                 assert step.move.delta < 0
+
+
+def expected_move(topology, config, node_order, pair_order, pairings):
+    """The first deviation in scan order, recomputed on the reference cost path.
+
+    Severances by node, then peer, come before additions in pair order; an
+    addition is its pair's best mutually improving pairing (lowest delta for
+    the lower-id endpoint, then lowest interfaces).
+    """
+    base = {i: node_state_naive(topology, i, config) for i in node_order}
+    for i in node_order:
+        for link in sorted(topology.links_of(i), key=lambda link: link.peer_of(i)):
+            after = node_state_naive(topology.without_link(link), i, config)
+            if improves_naive(base[i], after):
+                return Remove(link=link, initiator=i, delta=resolved_delta_naive(base[i], after))
+    for a, b in pair_order:
+        if topology.has_pair(a, b):
+            continue
+        improving = []
+        for r_a, r_b in pairings[(a, b)]:
+            grown = topology.with_link(Link(a, r_a, b, r_b))
+            after_a, after_b = node_state_naive(grown, a, config), node_state_naive(grown, b, config)
+            if improves_naive(base[a], after_a) and improves_naive(base[b], after_b):
+                delta_b = resolved_delta_naive(base[b], after_b)
+                improving.append((resolved_delta_naive(base[a], after_a), r_a, r_b, delta_b))
+        if improving:
+            delta_a, r_a, r_b, delta_b = min(improving)
+            return Add(link=Link(a, r_a, b, r_b), delta_a=delta_a, delta_b=delta_b)
+    return None
+
+
+def assert_close(actual, expected):
+    if math.isinf(expected):
+        assert actual == expected
+    else:
+        assert actual == pytest.approx(expected, rel=1e-9)
+
+
+def check_moves_against_reference(scenario, scan_seed, max_moves):
+    """Assert each trace step of one run against ``expected_move``; return the moves."""
+    pairings = feasible_pairings(scenario)
+    node_order, pair_order = list(scenario.ids), sorted(pairings)
+    if scan_seed:
+        rng = random.Random(scan_seed)
+        rng.shuffle(node_order)
+        rng.shuffle(pair_order)
+    _, trace = best_response_dynamics(scenario, seed=scan_seed, max_moves=max_moves)
+    topology = Topology.empty(scenario.nodes)
+    for step in trace.steps:
+        move = step.move
+        expected = expected_move(topology, scenario.config, node_order, pair_order, pairings)
+        assert type(move) is type(expected) and move.link == expected.link, (step, expected)
+        if isinstance(move, Add):
+            assert_close(move.delta_a, expected.delta_a)
+            assert_close(move.delta_b, expected.delta_b)
+            topology = topology.with_link(move.link)
+        else:
+            assert move.initiator == expected.initiator
+            assert_close(move.delta, expected.delta)
+            topology = topology.without_link(move.link)
+        for node_id, cost in step.costs:
+            assert_close(cost, total_cost(topology.node(node_id), topology, scenario.config).total.value)
+    if trace.converged:
+        assert expected_move(topology, scenario.config, node_order, pair_order, pairings) is None
+    return [step.move for step in trace.steps]
+
+
+@pytest.mark.parametrize("scan_seed", [0, 7])
+def test_every_move_follows_the_documented_rule(scan_seed):
+    moves = []
+    for seed in range(40):
+        moves += check_moves_against_reference(free_scenario(seed, max_nodes=6), scan_seed, max_moves=40)
+    assert any(isinstance(move, Add) for move in moves)
+
+
+@pytest.mark.parametrize("scan_seed, severances", [(1, 10), (2, 19)])
+def test_every_severance_follows_the_documented_rule(scan_seed, severances):
+    # free scenarios never sever under dynamics; these fixture runs do, and at
+    # scan seed 2 some node has two improving severances at once
+    scenario = load_scenario(fixture_path("smart_home_gamma570.json"))
+    moves = check_moves_against_reference(scenario, scan_seed, max_moves=60)
+    assert sum(isinstance(move, Remove) for move in moves) == severances
 
 
 def test_invalid_scenario_rejected():
