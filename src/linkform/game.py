@@ -21,7 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import (
@@ -40,6 +42,8 @@ from .propagation import link_feasible, required_tx_power
 DEFAULT_MAX_MOVES = 10_000
 
 State = tuple[float, int]  # (total cost, peers unreachable within h_max)
+Ends = list[tuple[int, int, float]]  # (peer, own interface, own unit) per link, by peer id
+Parts = tuple[float, int, float, int]  # all but the link cost: (gamma * IC hops, non-IC hops, bridging, unreachable)
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,11 @@ class _Evaluator:
     """Incremental cost evaluation for one scenario across candidate link sets.
 
     Answers state queries as (total cost, peers unreachable within the hop
-    cap) against a small mutable link set.
+    cap) against a small mutable link set. ``balls[i][k]`` masks the nodes
+    within k hops of ``i`` by rank, for k <= min(h_max, n - 1). The balls are
+    rebuilt once per change of the linked pairs, and each node's ``parts`` on
+    first use after it. Peer sums run in ascending id order, whatever order
+    the links were placed in.
     """
 
     def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
@@ -164,8 +172,12 @@ class _Evaluator:
         self.ids: tuple[int, ...] = scenario.ids
         self.n = len(self.ids)
         self.by_id = scenario.node_map
-        self.is_ic = {node.id: node.internet_connected for node in scenario.nodes}
-        self.adj: dict[int, set[int]] = {i: set() for i in self.ids}
+        self.bit = {i: 1 << rank for rank, i in enumerate(self.ids)}
+        self.full = (1 << self.n) - 1
+        self.ic_mask = sum(self.bit[i] for i in scenario.ic_ids)
+        self.n_ic = len(scenario.ic_ids)
+        self.h = min(self.cfg.h_max, max(self.n - 1, 0))
+        self.ends: dict[int, Ends] = {i: [] for i in self.ids}
         self.links: dict[tuple[int, int], PairingOption] = {}  # each link as priced, by (lower id, higher id)
         self.load(links)
 
@@ -173,9 +185,10 @@ class _Evaluator:
 
     def load(self, links: Iterable[Link]) -> None:
         """Install an arbitrary link set, pricing infeasible links as infinite."""
-        for members in self.adj.values():
-            members.clear()
+        for ends in self.ends.values():
+            ends.clear()
         self.links.clear()
+        self.balls: dict[int, list[int]] | None = None  # None until priced for the linked pairs
         for link in links:
             self.place_link(link)
 
@@ -184,77 +197,122 @@ class _Evaluator:
         self.place(link.pair, _pairing(self.cfg, node_a, link.iface_a, node_b, link.iface_b))
 
     def place(self, pair: tuple[int, int], option: PairingOption) -> None:
+        """Link ``pair`` priced as ``option``; re-pricing a linked pair keeps the balls."""
         a, b = pair
-        self.adj[a].add(b)
-        self.adj[b].add(a)
+        if pair in self.links:
+            self._unlink(a, b)
+        else:
+            self.balls = None
         self.links[pair] = option
+        insort(self.ends[a], (b, option.r_a, option.unit_a))
+        insort(self.ends[b], (a, option.r_b, option.unit_b))
 
-    def remove(self, pair: tuple[int, int]) -> PairingOption:
-        a, b = pair
-        option = self.links.pop(pair)
-        self.adj[a].discard(b)
-        self.adj[b].discard(a)
-        return option
+    def remove(self, pair: tuple[int, int]) -> None:
+        self._unlink(*pair)
+        del self.links[pair]
+        self.balls = None
+
+    def _unlink(self, a: int, b: int) -> None:
+        del self.ends[a][bisect_left(self.ends[a], (b,))]
+        del self.ends[b][bisect_left(self.ends[b], (a,))]
 
     def links_snapshot(self) -> frozenset[Link]:
         return frozenset(Link(a, option.r_a, b, option.r_b) for (a, b), option in self.links.items())
 
     # -- evaluation -----------------------------------------------------------
 
+    def _rebuild(self) -> None:
+        """``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``; parts follow on first use."""
+        level = self.bit
+        self.balls = {i: [ball] for i, ball in level.items()}
+        for _ in range(self.h):
+            grown = {}
+            for i, own in self.ends.items():
+                ball = level[i]
+                for peer, _, _ in own:
+                    ball |= level[peer]
+                grown[i] = ball
+            if grown == level:  # no ball grew: every later level repeats this one
+                break
+            for i, row in self.balls.items():
+                row.append(grown[i])
+            level = grown
+        for row in self.balls.values():
+            row += [row[-1]] * (self.h + 1 - len(row))
+        self.parts: dict[int, Parts] = {}
+        self.grown_parts: dict[tuple[int, int], tuple[int, Parts]] = {}
+
+    def _parts(self, row: list[int], own: Ends, grown_peer: int = -1) -> Parts:
+        """Parts from balls B_0..B_h and link ends; hop sums are ``sum over k < h of |class - B_k|``."""
+        last = row[-1]
+        if last != self.full:
+            return 0.0, 0, 0.0, self.n - last.bit_count()
+        ic_mask = self.ic_mask
+        ic_seen = seen = levels = 0
+        for levels, ball in enumerate(row):
+            if ball == last:
+                break
+            ic_seen += (ball & ic_mask).bit_count()
+            seen += ball.bit_count()
+        bridging = 0.0
+        if own:
+            inverse_degrees = 0.0
+            for peer, _, _ in own:
+                inverse_degrees += 1.0 / (len(self.ends[peer]) + (peer == grown_peer))
+            bridging = (1.0 / len(own)) / inverse_degrees
+        ic_missing = levels * self.n_ic - ic_seen
+        return self.cfg.gamma * ic_missing, levels * (self.n - self.n_ic) - (seen - ic_seen), bridging, 0
+
     def state(self, i: int) -> State:
         """(total cost, number of peers unreachable within h_max) for node ``i``."""
-        cfg = self.cfg
-        adj_i = self.adj[i]
-        link_cost = 0.0
-        bridging = 0.0
-        if adj_i:
-            per_r_sum: dict[int, float] = {}
-            per_r_cnt: dict[int, int] = {}
-            inverse_degrees = 0.0
-            for peer in adj_i:
-                if i < peer:
-                    option = self.links[(i, peer)]
-                    r_own, unit = option.r_a, option.unit_a
-                else:
-                    option = self.links[(peer, i)]
-                    r_own, unit = option.r_b, option.unit_b
-                per_r_sum[r_own] = per_r_sum.get(r_own, 0.0) + unit
-                per_r_cnt[r_own] = per_r_cnt.get(r_own, 0) + 1
-                inverse_degrees += 1.0 / len(self.adj[peer])
-            for r_own, unit_sum in per_r_sum.items():
-                link_cost += cfg.alpha * per_r_cnt[r_own] * unit_sum
-            bridging = (1.0 / len(adj_i)) / inverse_degrees
+        if self.balls is None:
+            self._rebuild()
+        if i not in self.parts:
+            self.parts[i] = self._parts(self.balls[i], self.ends[i])
+        return _priced(self.cfg.alpha, self.ends[i], *self.parts[i])
 
-        seen = {i}
-        frontier = [i]
-        depth = 0
-        ic_sum = 0.0
-        non_ic_sum = 0.0
-        while frontier and depth < cfg.h_max:
-            depth += 1
-            next_frontier = []
-            for current in frontier:
-                for peer in self.adj[current]:
-                    if peer not in seen:
-                        seen.add(peer)
-                        next_frontier.append(peer)
-                        if self.is_ic[peer]:
-                            ic_sum += depth
-                        else:
-                            non_ic_sum += depth
-            frontier = next_frontier
-        unreachable = self.n - len(seen)
-        if unreachable or math.isinf(link_cost):
-            return (math.inf, unreachable)
-        return (link_cost + cfg.gamma * ic_sum + non_ic_sum + bridging, 0)
+    def states(self) -> dict[int, State]:
+        return {i: self.state(i) for i in self.ids}
+
+    def grown(self, a: int, b: int) -> tuple[int, Parts]:
+        """Where ``b`` goes among a's link ends, and a's parts from ``B_k(a) | B_{k-1}(b)`` once a-b is added."""
+        key = (a, b)
+        if key not in self.grown_parts:
+            own, row = self.ends[a], self.balls[a]
+            at = bisect_left(own, (b,))
+            trial = [*own[:at], (b, 0, 0.0), *own[at:]]
+            self.grown_parts[key] = at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], trial, b)
+        return self.grown_parts[key]
+
+    def severed(self, i: int, rest: Ends, exact: bool) -> Parts:
+        """``i``'s parts once a link is cut, leaving it ``rest``: a bitset BFS if ``exact``, else a lower bound.
+
+        The bound grows i's balls from its other neighbours' current balls,
+        which may still reach through the cut link, so it can only reject.
+        """
+        ball = self.bit[i]
+        row = [ball]
+        if not exact:
+            if rest:
+                union = self.balls[rest[0][0]][:-1]
+                for j, _, _ in rest[1:]:
+                    union = list(map(or_, union, self.balls[j]))
+                row += map(ball.__or__, union)
+            return self._parts(row, rest)
+        frontier = [j for j, _, _ in rest]
+        for _ in range(self.h):
+            reached = []
+            for j in frontier:
+                if not ball & self.bit[j]:
+                    ball |= self.bit[j]
+                    reached += [k for k, _, _ in self.ends[j]]
+            row.append(ball)
+            frontier = reached
+        return self._parts(row, rest)
 
 
 class _BaseStates(dict):
-    """States of the evaluator's current link set, each evaluated on first use.
-
-    Only read while the link set is the base one: the deviation scans restore
-    it before they yield, and read each endpoint before placing a trial link.
-    """
+    """States of the evaluator's current link set, each evaluated on first use."""
 
     def __init__(self, evaluator: _Evaluator):
         self.evaluator = evaluator
@@ -262,6 +320,23 @@ class _BaseStates(dict):
     def __missing__(self, i: int) -> State:
         state = self[i] = self.evaluator.state(i)
         return state
+
+
+def _priced(alpha: float, ends: Ends, gic: float, non_ic: int, bridging: float, unreachable: int) -> State:
+    """A node's state from its link ends, in peer order, and its other parts."""
+    if unreachable:
+        return (math.inf, unreachable)
+    unit_sums: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for _, r_own, unit in ends:
+        unit_sums[r_own] = unit_sums.get(r_own, 0.0) + unit
+        counts[r_own] = counts.get(r_own, 0) + 1
+    link_cost = 0.0
+    for r_own, unit_sum in unit_sums.items():
+        link_cost += alpha * counts[r_own] * unit_sum
+    if math.isinf(link_cost):
+        return (math.inf, 0)
+    return (link_cost + gic + non_ic + bridging, 0)
 
 
 def _improves(before: State, after: State) -> bool:
@@ -286,17 +361,25 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
     """Every improving unilateral severance, one per endpoint incidence.
 
     Scans the nodes in ``node_order``, each against its peers in ascending id
-    order. The link set is restored before each yield.
+    order. ``base`` holds states from ``evaluator.state``, which leaves the
+    balls current. Only a severance the bound passes gets an exact BFS.
     """
-    state = evaluator.state
+    alpha, severed = evaluator.cfg.alpha, evaluator.severed
     for i in node_order:
-        for peer in sorted(evaluator.adj[i]):
-            a, b = pair = (i, peer) if i < peer else (peer, i)
-            option = evaluator.remove(pair)
-            after = state(i)
-            evaluator.place(pair, option)
-            if _improves(base[i], after):
-                yield Remove(link=Link(a, option.r_a, b, option.r_b), initiator=i, delta=_resolved_delta(base[i], after))
+        own = evaluator.ends[i]
+        before = base[i]
+        for at, (peer, _, _) in enumerate(own):
+            rest = own[:at] + own[at + 1 :]
+            bound = severed(i, rest, exact=False)
+            if not _improves(before, _priced(alpha, [], *bound)):  # passed over at zero link cost
+                continue
+            if not _improves(before, _priced(alpha, rest, *bound)):
+                continue
+            after = _priced(alpha, rest, *severed(i, rest, exact=True))
+            if _improves(before, after):
+                a, b = pair = (i, peer) if i < peer else (peer, i)
+                option = evaluator.links[pair]
+                yield Remove(link=Link(a, option.r_a, b, option.r_b), initiator=i, delta=_resolved_delta(before, after))
 
 
 def _additions(
@@ -308,23 +391,30 @@ def _additions(
     """The best mutually improving pairing of each absent pair, in pair order.
 
     Best is the lowest delta for ``a``, the lower id, then the lowest
-    (r_a, r_b). Endpoint ``b`` is evaluated only when ``a`` improves. The
-    link set is restored before each yield.
+    (r_a, r_b). ``base`` holds states from ``evaluator.state``, which leaves
+    the balls current. Only the link cost depends on the pairing; a pair
+    that does not improve ``a`` at zero link cost is passed over, and ``b``
+    is priced only when ``a`` improves.
     """
-    state = evaluator.state
+    alpha, links, ends, grown = evaluator.cfg.alpha, evaluator.links, evaluator.ends, evaluator.grown
     for pair in pair_order:
-        a, b = pair
-        if b in evaluator.adj[a]:
+        if pair in links:
             continue
+        a, b = pair
         before_a = base[a]
+        at_a, parts_a = grown(a, b)
+        if not _improves(before_a, _priced(alpha, [], *parts_a)):
+            continue
         before_b = base[b]
+        ends_a, ends_b = ends[a], ends[b]
         improving = []
         for option in pairings[pair]:
-            evaluator.place(pair, option)
-            after_a = state(a)
-            after_b = state(b) if _improves(before_a, after_a) else None
-            evaluator.remove(pair)
-            if after_b is not None and _improves(before_b, after_b):
+            after_a = _priced(alpha, [*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]], *parts_a)
+            if not _improves(before_a, after_a):
+                continue
+            at_b, parts_b = grown(b, a)
+            after_b = _priced(alpha, [*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]], *parts_b)
+            if _improves(before_b, after_b):
                 delta_b = _resolved_delta(before_b, after_b)
                 improving.append((_resolved_delta(before_a, after_a), option.r_a, option.r_b, delta_b))
         if improving:
@@ -415,7 +505,7 @@ def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityRepor
     """
     evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     pairings = pairing_table(Scenario(topology.nodes, config))
-    base = {i: evaluator.state(i) for i in evaluator.ids}
+    base = evaluator.states()
     severance = sorted(
         ((move.initiator, move.link) for move in _severances(evaluator, base, evaluator.ids)),
         key=lambda incidence: (incidence[1], incidence[0]),
@@ -454,8 +544,8 @@ def best_response_dynamics(
 
     steps: list[TraceStep] = []
     converged = False
+    base = evaluator.states()
     while len(steps) < max_moves:
-        base = _BaseStates(evaluator)
         deviations = itertools.chain(
             _severances(evaluator, base, node_order),
             _additions(evaluator, base, pairings, pair_order),
@@ -468,11 +558,12 @@ def best_response_dynamics(
             evaluator.remove(move.link.pair)
         else:
             evaluator.place_link(move.link)
+        base = evaluator.states()
         steps.append(
             TraceStep(
                 move=move,
                 topology_hash=links_digest(evaluator.links_snapshot()),
-                costs=tuple((i, evaluator.state(i)[0]) for i in evaluator.ids),
+                costs=tuple((i, state[0]) for i, state in base.items()),
             )
         )
     topology = Topology(scenario.nodes, evaluator.links_snapshot())
@@ -502,19 +593,23 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     evaluator = _Evaluator(scenario)
     pairings = pairing_table(scenario)
     pair_order = sorted(pairings)
-    option_lists: list[tuple[PairingOption | None, ...]] = [(None, *pairings[pair]) for pair in pair_order]
     stable: set[Topology] = set()
-    for combo in itertools.product(*option_lists):
+    # pair subsets outside, pairings inside: re-pricing a linked pair keeps its balls
+    for chosen in itertools.product((False, True), repeat=len(pair_order)):
+        pairs = list(itertools.compress(pair_order, chosen))
         evaluator.load(())
-        for pair, option in zip(pair_order, combo):
-            if option is not None:
-                evaluator.place(pair, option)
-        # additions first: most enumerated link sets fail on an absent pair
-        base = _BaseStates(evaluator)
-        deviations = itertools.chain(
-            _additions(evaluator, base, pairings, pair_order),
-            _severances(evaluator, base, evaluator.ids),
-        )
-        if not any(deviations):
-            stable.add(Topology(scenario.nodes, evaluator.links_snapshot()))
+        placed: tuple[PairingOption, ...] = ()
+        for combo in itertools.product(*(pairings[pair] for pair in pairs)):
+            for pair, option, old in itertools.zip_longest(pairs, combo, placed):
+                if option is not old:
+                    evaluator.place(pair, option)
+            placed = combo
+            base = _BaseStates(evaluator)
+            # additions first: most enumerated link sets fail on an absent pair
+            deviations = itertools.chain(
+                _additions(evaluator, base, pairings, pair_order),
+                _severances(evaluator, base, evaluator.ids),
+            )
+            if not any(deviations):
+                stable.add(Topology(scenario.nodes, evaluator.links_snapshot()))
     return stable

@@ -9,9 +9,12 @@ scenarios are asserted against the criteria predicates before use.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import random
 
+from linkform.cli import fixture_path, load_scenario
 from linkform.cost import bandwidth_ratio, minimum_link_power
 from linkform.criteria import clique_criterion, single_ic_link_criterion, star_criterion
 from linkform.model import GameConfig, InterfaceSpec, Link, Node, Scenario, Topology
@@ -200,6 +203,25 @@ def free_scenario(seed: int, max_nodes: int = 5) -> Scenario:
         )
     gamma = rng.choice((rng.uniform(1.0, 5.0), rng.uniform(5.0, 50.0), rng.uniform(50.0, 600.0)))
     return Scenario(tuple(nodes), GameConfig(gamma=gamma, h_max=rng.randint(2, 6)))
+
+
+@functools.cache
+def _fixture_570() -> Scenario:
+    return load_scenario(fixture_path("smart_home_gamma570.json"))
+
+
+def fixture_sample_scenario(seed: int) -> tuple[Scenario, int]:
+    """(scenario, scan seed): 6-9 nodes of the 570 fixture, renumbered 0..k-1 in id order.
+
+    gamma is drawn uniformly from [500, 700] and the scan seed from 0-3. Unlike
+    ``free_scenario``, most of these scenarios sever links under dynamics.
+    """
+    rng = random.Random(seed)
+    fixture = _fixture_570()
+    picked = sorted(rng.sample(fixture.nodes, rng.randint(6, 9)), key=lambda node: node.id)
+    nodes = tuple(dataclasses.replace(node, id=index) for index, node in enumerate(picked))
+    config = dataclasses.replace(fixture.config, gamma=rng.uniform(500.0, 700.0))
+    return Scenario(nodes, config), rng.randint(0, 3)
 
 
 def feasible_pairings(scenario: Scenario) -> dict[tuple[int, int], list[tuple[int, int]]]:

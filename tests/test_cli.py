@@ -1,6 +1,9 @@
+import contextlib
 import copy
+import io
 import json
 import random
+import tempfile
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -299,6 +302,32 @@ def test_mutated_topology_is_read_or_rejected(mutation):
     except ScenarioFormatError:
         return
     assert isinstance(topology, Topology)
+
+
+def quiet_exit_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(*argv)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutations(FIXTURE_DOCUMENT))
+def test_cli_exit_code_on_mutated_scenario(mutation):
+    with tempfile.TemporaryDirectory() as work:
+        scenario, topology = Path(work, "scenario.json"), Path(work, "topology.json")
+        scenario.write_text(json.dumps(mutated(FIXTURE_DOCUMENT, mutation)))
+        topology.write_text(json.dumps(TOPOLOGY_DOCUMENT))
+        run = ("run", "--scenario", str(scenario), "--max-moves", "20", "--out", str(Path(work, "out")))
+        assert quiet_exit_code(*run) in {0, 1, 2}
+        assert quiet_exit_code("check", "--scenario", str(scenario), "--topology", str(topology)) in {0, 1, 2}
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutations(TOPOLOGY_DOCUMENT))
+def test_cli_exit_code_on_mutated_topology(mutation):
+    with tempfile.TemporaryDirectory() as work:
+        topology = Path(work, "topology.json")
+        topology.write_text(json.dumps(mutated(TOPOLOGY_DOCUMENT, mutation)))
+        assert quiet_exit_code("check", "--scenario", FIXTURE_570, "--topology", str(topology)) in {0, 1, 2}
 
 
 def set_at(path, value):

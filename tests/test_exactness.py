@@ -1,0 +1,147 @@
+"""The deviation engine against the reference cost path, with no tolerance.
+
+The engine prices states from hop balls and sums peers in ascending id order;
+``cost.total_cost`` and ``oracles.stability_oracle`` walk each topology
+afresh. Every trace cost must equal the reference bit for bit, and the
+stability check must report exactly the oracle's deviations, on both a
+family that severs links (``fixture_sample_scenario``) and one that does not
+(``free_scenario``).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import random
+import time
+
+from hypothesis import assume, given, settings, strategies as st
+
+from linkform import game
+from linkform.cli import fixture_path, load_scenario
+from linkform.cost import total_cost
+from linkform.game import Add, Remove, best_response_dynamics, is_pairwise_stable
+from linkform.model import Scenario, Topology
+
+from generators import fixture_sample_scenario, free_scenario, random_topology
+from oracles import stability_oracle
+
+FIXTURES = [load_scenario(fixture_path(name)) for name in ("smart_home_gamma570.json", "smart_home_gamma600.json")]
+
+
+def bits(value: float) -> str:
+    return value.hex()
+
+
+def assert_matches_oracle(topology, config):
+    report = is_pairwise_stable(topology, config)
+    stable, severances, additions = stability_oracle(topology, config)
+    assert set(report.severance_violations) == severances
+    assert set(report.addition_violations) == additions
+    assert report.stable == stable
+    assert len(report.severance_violations) == len(severances)
+    assert len(report.addition_violations) == len(additions)
+
+
+def applied(topology, move):
+    return topology.with_link(move.link) if isinstance(move, Add) else topology.without_link(move.link)
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    severing=st.booleans(),
+    seed=st.integers(0, 10_000),
+    scan_seed=st.integers(0, 3),
+    probe=st.floats(0.0, 1.0),
+)
+def test_engine_equals_reference_exactly(severing, seed, scan_seed, probe):
+    if severing:
+        scenario, scan_seed = fixture_sample_scenario(seed)
+    else:
+        scenario = free_scenario(seed, max_nodes=12)
+        assume(len(scenario.nodes) >= 6)
+    _, trace = best_response_dynamics(scenario, seed=scan_seed, max_moves=200)
+    probe_step = int(probe * (len(trace.steps) - 1)) if trace.steps else -1
+    topology = Topology.empty(scenario.nodes)
+    for index, step in enumerate(trace.steps):
+        topology = applied(topology, step.move)
+        for node_id, cost in step.costs:
+            assert bits(cost) == bits(total_cost(topology.node(node_id), topology, scenario.config).total.value)
+        if index == probe_step:
+            assert_matches_oracle(topology, scenario.config)
+    assert_matches_oracle(topology, scenario.config)
+    if trace.converged:
+        assert stability_oracle(topology, scenario.config)[0]
+
+
+def test_severing_family_severs():
+    runs = [fixture_sample_scenario(seed) for seed in range(20)]
+    traces = [best_response_dynamics(scenario, seed=scan_seed, max_moves=200)[1] for scenario, scan_seed in runs]
+    assert sum(any(isinstance(step.move, Remove) for step in trace.steps) for trace in traces) >= 10
+    assert all(6 <= len(scenario.nodes) <= 9 for scenario, _ in runs)
+    assert all(scenario.ids == tuple(range(len(scenario.nodes))) for scenario, _ in runs)
+    assert all(500.0 <= scenario.config.gamma <= 700.0 and 0 <= scan_seed <= 3 for scenario, scan_seed in runs)
+
+
+# -- summation order -----------------------------------------------------------------
+
+
+@functools.cache
+def order_cases():
+    """(scenario, link set) pairs: fixture and severing-family runs, their midpoints, random link sets."""
+    cases = []
+    runs = [(fixture, seed) for fixture in FIXTURES for seed in (0, 1, 2)]
+    runs += [fixture_sample_scenario(seed) for seed in range(6)]
+    for scenario, scan_seed in runs:
+        topology, trace = best_response_dynamics(scenario, seed=scan_seed, max_moves=200)
+        middle = Topology.empty(scenario.nodes)
+        for step in trace.steps[: len(trace.steps) // 2]:
+            middle = applied(middle, step.move)
+        dense = random_topology(scenario, random.Random(scan_seed + len(cases)))
+        cases += [(scenario, topology.links), (scenario, middle.links), (scenario, dense.links)]
+    return cases
+
+
+def test_states_do_not_depend_on_link_insertion_order():
+    for scenario, links in order_cases():
+        forward, backward = sorted(links), sorted(links, reverse=True)
+        states = []
+        for order in (forward, backward):
+            evaluator = game._Evaluator(scenario)
+            evaluator.load(order)
+            states.append([(bits(cost), unreachable) for cost, unreachable in map(evaluator.state, scenario.ids)])
+        assert states[0] == states[1]
+
+
+def test_stability_does_not_depend_on_link_insertion_order():
+    for scenario, links in order_cases():
+        reports = [
+            is_pairwise_stable(Topology(scenario.nodes, frozenset(order)), scenario.config)
+            for order in (sorted(links), sorted(links, reverse=True))
+        ]
+        assert reports[0] == reports[1]
+
+
+def test_dynamics_do_not_depend_on_pairing_table_order(monkeypatch):
+    runs = [(fixture, seed) for fixture in FIXTURES for seed in (0, 2)] + [fixture_sample_scenario(3)]
+    expected = [best_response_dynamics(scenario, seed=seed, max_moves=200) for scenario, seed in runs]
+    table = game.pairing_table
+    monkeypatch.setattr(game, "pairing_table", lambda scenario: dict(reversed(table(scenario).items())))
+    assert [best_response_dynamics(scenario, seed=seed, max_moves=200) for scenario, seed in runs] == expected
+
+
+# -- hop cap -------------------------------------------------------------------------
+
+
+def test_huge_hop_cap_equals_n_minus_one():
+    for scenario, scan_seed in [(FIXTURES[0], 0), (FIXTURES[0], 2), fixture_sample_scenario(4)]:
+        results = []
+        for h_max in (len(scenario.nodes) - 1, 10**9):
+            config = dataclasses.replace(scenario.config, h_max=h_max)
+            start = time.perf_counter()
+            topology, trace = best_response_dynamics(Scenario(scenario.nodes, config), seed=scan_seed, max_moves=200)
+            reports = [is_pairwise_stable(topology, config), is_pairwise_stable(Topology.empty(scenario.nodes), config)]
+            # no hop distance exceeds n - 1, so a larger cap must cost no more
+            assert time.perf_counter() - start < 1.0
+            results.append((topology, trace, reports))
+        assert results[0] == results[1]
