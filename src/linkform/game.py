@@ -197,24 +197,19 @@ class _Evaluator:
         self.place(link.pair, _pairing(self.cfg, node_a, link.iface_a, node_b, link.iface_b))
 
     def place(self, pair: tuple[int, int], option: PairingOption) -> None:
-        """Link ``pair`` priced as ``option``; re-pricing a linked pair keeps the balls."""
+        """Link the unlinked ``pair``, priced as ``option``."""
         a, b = pair
-        if pair in self.links:
-            self._unlink(a, b)
-        else:
-            self.balls = None
+        self.balls = None
         self.links[pair] = option
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
 
     def remove(self, pair: tuple[int, int]) -> None:
-        self._unlink(*pair)
-        del self.links[pair]
-        self.balls = None
-
-    def _unlink(self, a: int, b: int) -> None:
+        a, b = pair
         del self.ends[a][bisect_left(self.ends[a], (b,))]
         del self.ends[b][bisect_left(self.ends[b], (a,))]
+        del self.links[pair]
+        self.balls = None
 
     def links_snapshot(self) -> frozenset[Link]:
         return frozenset(Link(a, option.r_a, b, option.r_b) for (a, b), option in self.links.items())
@@ -309,17 +304,6 @@ class _Evaluator:
             row.append(ball)
             frontier = reached
         return self._parts(row, rest)
-
-
-class _BaseStates(dict):
-    """States of the evaluator's current link set, each evaluated on first use."""
-
-    def __init__(self, evaluator: _Evaluator):
-        self.evaluator = evaluator
-
-    def __missing__(self, i: int) -> State:
-        state = self[i] = self.evaluator.state(i)
-        return state
 
 
 def _priced(alpha: float, ends: Ends, gic: float, non_ic: int, bridging: float, unreachable: int) -> State:
@@ -425,14 +409,29 @@ def _additions(
 def _toggle_states(
     topology: Topology, config: GameConfig, link: Link, ids: tuple[int, ...]
 ) -> list[tuple[State, State]]:
-    """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added."""
+    """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added.
+
+    Endpoints are priced on the loaded link set, as the scans price them; any
+    other node's after state needs the toggled link set loaded.
+    """
     evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     before = [evaluator.state(i) for i in ids]
-    if link in topology.links:
-        evaluator.remove(link.pair)
-    else:
+    if not all(map(link.touches, ids)):  # only additions are asked of other nodes
         evaluator.place_link(link)
-    return list(zip(before, [evaluator.state(i) for i in ids]))
+        return list(zip(before, map(evaluator.state, ids)))
+    a, b = link.pair
+    option = _pairing(config, topology.node(a), link.iface_a, topology.node(b), link.iface_b)
+    ends = {a: (b, option.r_a, option.unit_a), b: (a, option.r_b, option.unit_b)}
+    after = []
+    for i in ids:
+        own = evaluator.ends[i]
+        at = bisect_left(own, ends[i][:1])
+        if link in topology.links:
+            rest = own[:at] + own[at + 1 :]
+            after.append(_priced(config.alpha, rest, *evaluator.severed(i, rest, exact=True)))
+        else:
+            after.append(_priced(config.alpha, [*own[:at], ends[i], *own[at:]], *evaluator.grown(i, ends[i][0])[1]))
+    return list(zip(before, after))
 
 
 def _defined_delta(before: State, after: State) -> float:
@@ -581,35 +580,105 @@ def replay_trace(scenario: Scenario, trace: DynamicsTrace) -> Topology:
     return topology
 
 
+def _parts_table(
+    evaluator: _Evaluator, pairings: PairingTable, pair_order: list[tuple[int, int]]
+) -> list[dict[int, Parts]]:
+    """Every node's parts at every subset of ``pair_order``, by bitmask (bit k links ``pair_order[k]``).
+
+    Parts do not depend on pairings, so each pair is placed as its first
+    option. Subsets follow a Gray code: each step toggles one pair.
+    """
+    table: list[dict[int, Parts]] = [{}] * (1 << len(pair_order))
+    evaluator.load(())
+    subset = 0
+    for step in range(len(table)):
+        if step:
+            k = (step & -step).bit_length() - 1
+            subset ^= 1 << k
+            if subset >> k & 1:
+                evaluator.place(pair_order[k], pairings[pair_order[k]][0])
+            else:
+                evaluator.remove(pair_order[k])
+        evaluator._rebuild()
+        table[subset] = {i: evaluator._parts(row, evaluator.ends[i]) for i, row in evaluator.balls.items()}
+    return table
+
+
 def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topology]:
     """Enumerate every feasible topology and keep the pairwise-stable ones.
 
-    Every subset of feasible pairs is enumerated, crossed with every feasible
-    interface pairing for each included pair. Refuses scenarios larger than
-    ``max_nodes`` (the enumeration is exponential).
+    Every subset S of feasible pairs is crossed with every interface pairing
+    of its pairs. Adding pair ``p`` gives its endpoints their parts at
+    ``S | p`` in ``_parts_table``, and severing it their parts at ``S - p``.
+    A node's verdicts at S are priced once per pairing combination of its
+    own links. S is skipped when an absent pair improves both endpoints at
+    every pair of their combinations. Refuses scenarios larger than
+    ``max_nodes``: the table grows as 2^pairs.
     """
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
-    evaluator = _Evaluator(scenario)
     pairings = pairing_table(scenario)
     pair_order = sorted(pairings)
+    table = _parts_table(_Evaluator(scenario), pairings, pair_order)
+    mine = {i: [k for k, pair in enumerate(pair_order) if i in pair] for i in scenario.ids}  # in peer order
+    sides: dict[tuple[int, int], list[tuple[int, int, float]]] = {}  # (node, k): its end of pair k, per pairing
+    for k, (a, b) in enumerate(pair_order):
+        sides[a, k] = [(b, option.r_a, option.unit_a) for option in pairings[a, b]]
+        sides[b, k] = [(a, option.r_b, option.unit_b) for option in pairings[a, b]]
+    link_costs: dict[tuple, float] = {}
+    combos: dict[tuple, list[tuple]] = {}  # (node, its pairs in S): (pairing indices, its ends) per combination
+    memo: dict[tuple[int, int], dict[tuple, int]] = {}  # verdicts within one subset
+
+    def priced(ends: tuple, parts: Parts) -> State:
+        """``_priced``, with the link cost memoised by ``ends``."""
+        if parts[3]:
+            return (math.inf, parts[3])
+        if ends not in link_costs:
+            link_costs[ends] = _priced(scenario.config.alpha, ends, 0.0, 0, 0.0, 0)[0]
+        link = link_costs[ends]
+        return (math.inf, 0) if math.isinf(link) else (link + parts[0] + parts[1] + parts[2], 0)
+
+    def verdicts(i: int, k: int, subset: int) -> dict[tuple[int, ...], int]:
+        """By the pairings of i's links: a mask of absent k's improving pairings, or for k = -1 if a cut improves."""
+        if (i, k) not in memo:
+            linked = tuple(cut for cut in mine[i] if subset >> cut & 1)
+            if (i, linked) not in combos:
+                combos[i, linked] = [
+                    (tuple(j for j, _ in combo), tuple(end for _, end in combo))
+                    for combo in itertools.product(*(enumerate(sides[i, cut]) for cut in linked))
+                ]
+            memo[i, k] = row = {}
+            for index, ends in combos[i, linked]:
+                before = priced(ends, table[subset][i])
+                if k < 0:
+                    cuts = enumerate(table[subset ^ 1 << cut][i] for cut in linked)
+                    row[index] = any(_improves(before, priced(ends[:at] + ends[at + 1 :], parts)) for at, parts in cuts)
+                else:
+                    at, parts = bisect_left(ends, (sides[i, k][0][0],)), table[subset | 1 << k][i]
+                    grown = (priced((*ends[:at], end, *ends[at:]), parts) for end in sides[i, k])
+                    row[index] = sum(1 << j for j, after in enumerate(grown) if _improves(before, after))
+        return memo[i, k]
+
+    def blocks(k: int, subset: int) -> bool:  # absent k improves both ends at every combination pair
+        masks = verdicts(pair_order[k][0], k, subset).values()
+        return all(masks) and all(x & y for y in verdicts(pair_order[k][1], k, subset).values() for x in masks)
+
     stable: set[Topology] = set()
-    # pair subsets outside, pairings inside: re-pricing a linked pair keeps its balls
-    for chosen in itertools.product((False, True), repeat=len(pair_order)):
-        pairs = list(itertools.compress(pair_order, chosen))
-        evaluator.load(())
-        placed: tuple[PairingOption, ...] = ()
-        for combo in itertools.product(*(pairings[pair] for pair in pairs)):
-            for pair, option, old in itertools.zip_longest(pairs, combo, placed):
-                if option is not old:
-                    evaluator.place(pair, option)
-            placed = combo
-            base = _BaseStates(evaluator)
-            # additions first: most enumerated link sets fail on an absent pair
-            deviations = itertools.chain(
-                _additions(evaluator, base, pairings, pair_order),
-                _severances(evaluator, base, evaluator.ids),
-            )
-            if not any(deviations):
-                stable.add(Topology(scenario.nodes, evaluator.links_snapshot()))
+    blockers = list(range(len(pair_order)))  # the pair that blocked most recently first
+    for subset in range(len(table)):
+        memo.clear()
+        blocker = next((k for k in blockers if not subset >> k & 1 and blocks(k, subset)), None)
+        if blocker is not None:
+            blockers.insert(0, blockers.pop(blockers.index(blocker)))
+            continue
+        linked = [k for k in range(len(pair_order)) if subset >> k & 1]
+        absent = [pair_order[k] + (k,) for k in blockers if not subset >> k & 1]
+        for choice in itertools.product(*(range(len(pairings[pair_order[k]])) for k in linked)):
+            pick = dict(zip(linked, choice))
+            combo = {i: tuple(pick[k] for k in own if k in pick) for i, own in mine.items()}
+            if not any(verdicts(i, -1, subset)[combo[i]] for i in mine) and not any(
+                verdicts(a, k, subset)[combo[a]] & verdicts(b, k, subset)[combo[b]] for a, b, k in absent
+            ):
+                options = [(pair_order[k], pairings[pair_order[k]][pick[k]]) for k in linked]
+                stable.add(Topology(scenario.nodes, frozenset(Link(a, o.r_a, b, o.r_b) for (a, b), o in options)))
     return stable

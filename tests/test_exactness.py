@@ -5,7 +5,9 @@ The engine prices states from hop balls and sums peers in ascending id order;
 afresh. Every trace cost must equal the reference bit for bit, and the
 stability check must report exactly the oracle's deviations, on both a
 family that severs links (``fixture_sample_scenario``) and one that does not
-(``free_scenario``).
+(``free_scenario``). So must every single-deviation query, and the parts
+table behind the enumeration must equal the engine's grown and severed
+parts.
 """
 
 from __future__ import annotations
@@ -14,17 +16,28 @@ import dataclasses
 import functools
 import random
 import time
+from bisect import bisect_left
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from linkform import game
 from linkform.cli import fixture_path, load_scenario
 from linkform.cost import total_cost
-from linkform.game import Add, Remove, best_response_dynamics, is_pairwise_stable
-from linkform.model import Scenario, Topology
+from linkform.game import (
+    Add,
+    Rejection,
+    Remove,
+    best_response_dynamics,
+    delta_cost_add,
+    delta_cost_remove,
+    is_pairwise_stable,
+    propose_add,
+)
+from linkform.model import IncomparableCostError, Link, Scenario, Topology
 
-from generators import fixture_sample_scenario, free_scenario, random_topology
-from oracles import stability_oracle
+from generators import feasible_pairings, fixture_sample_scenario, free_scenario, random_topology
+from oracles import improves_naive, node_state_naive, resolved_delta_naive, stability_oracle
 
 FIXTURES = [load_scenario(fixture_path(name)) for name in ("smart_home_gamma570.json", "smart_home_gamma600.json")]
 
@@ -81,6 +94,73 @@ def test_severing_family_severs():
     assert all(6 <= len(scenario.nodes) <= 9 for scenario, _ in runs)
     assert all(scenario.ids == tuple(range(len(scenario.nodes))) for scenario, _ in runs)
     assert all(500.0 <= scenario.config.gamma <= 700.0 and 0 <= scan_seed <= 3 for scenario, scan_seed in runs)
+
+
+def expect_delta(query, before, after):
+    """Run a ``delta_cost_*`` query and check it against the reference states, bit for bit."""
+    if before[0] == after[0] == float("inf"):
+        with pytest.raises(IncomparableCostError):
+            query()
+    else:
+        assert bits(query()) == bits(after[0] - before[0])
+
+
+def test_single_queries_equal_reference_exactly():
+    for seed in range(3):
+        scenario, scan_seed = fixture_sample_scenario(seed)
+        config = scenario.config
+        final, trace = best_response_dynamics(scenario, seed=scan_seed, max_moves=200)
+        middle = Topology.empty(scenario.nodes)
+        for step in trace.steps[: len(trace.steps) // 2]:
+            middle = applied(middle, step.move)
+        for topology in (Topology.empty(scenario.nodes), middle, final):
+            base = {i: node_state_naive(topology, i, config) for i in scenario.ids}
+            for link in sorted(topology.links):
+                reduced = topology.without_link(link)
+                for i in link.pair:
+                    after = node_state_naive(reduced, i, config)
+                    expect_delta(lambda: delta_cost_remove(scenario.node(i), topology, link, config), base[i], after)
+            for (a, b), options in feasible_pairings(scenario).items():
+                if topology.has_pair(a, b):
+                    continue
+                bystander = next(i for i in scenario.ids if i not in (a, b))
+                for r_a, r_b in options:
+                    link = Link(a, r_a, b, r_b)
+                    grown = topology.with_link(link)
+                    after = {i: node_state_naive(grown, i, config) for i in (a, b, bystander)}
+                    for i in (a, b, bystander):
+                        expect_delta(lambda: delta_cost_add(scenario.node(i), topology, link, config), base[i], after[i])
+                    decision = propose_add(topology, b, r_b, a, r_a, config)
+                    decliners = tuple(i for i in (a, b) if not improves_naive(base[i], after[i]))
+                    if decliners:
+                        assert decision == Rejection(kind="declined", declined_by=decliners)
+                    else:
+                        assert decision.link == link
+                        assert bits(decision.delta_a) == bits(resolved_delta_naive(base[a], after[a]))
+                        assert bits(decision.delta_b) == bits(resolved_delta_naive(base[b], after[b]))
+
+
+def test_parts_table_equals_grown_and_severed():
+    scenarios = [Scenario(fixture_sample_scenario(seed)[0].nodes[:5], FIXTURES[0].config) for seed in range(2)]
+    scenarios += [free_scenario(seed, max_nodes=5) for seed in (5, 12)]
+    for scenario in scenarios:
+        pairings = game.pairing_table(scenario)
+        pair_order = sorted(pairings)
+        table = game._parts_table(game._Evaluator(scenario), pairings, pair_order)
+        evaluator = game._Evaluator(scenario)
+        for subset, parts in enumerate(table):
+            linked = [pair for k, pair in enumerate(pair_order) if subset >> k & 1]
+            evaluator.load(Link(a, pairings[a, b][0].r_a, b, pairings[a, b][0].r_b) for a, b in linked)
+            evaluator.states()
+            assert parts == evaluator.parts
+            for k, (a, b) in enumerate(pair_order):
+                for i, j in ((a, b), (b, a)):
+                    if subset >> k & 1:
+                        own = evaluator.ends[i]
+                        at = bisect_left(own, (j,))
+                        assert evaluator.severed(i, own[:at] + own[at + 1 :], exact=True) == table[subset ^ 1 << k][i]
+                    else:
+                        assert evaluator.grown(i, j)[1] == table[subset | 1 << k][i]
 
 
 # -- summation order -----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -412,6 +414,40 @@ def test_brute_force_refuses_large_scenarios():
         brute_force_stable_set(scenario, max_nodes=6)
 
 
+def all_link_sets(scenario):
+    """Every link set over the scenario's feasible pairings, from the public feasibility check."""
+    choices = [
+        [None, *(Link(a, r_a, b, r_b) for r_a, r_b in options)]
+        for (a, b), options in feasible_pairings(scenario).items()
+    ]
+    return [frozenset(filter(None, combo)) for combo in itertools.product(*choices)]
+
+
+def mirrored(scenario):
+    """The scenario with node ids renumbered in reverse, so pairs and peer sums run the other way."""
+    top = max(scenario.ids)
+    return Scenario(tuple(dataclasses.replace(node, id=top - node.id) for node in scenario.nodes), scenario.config)
+
+
+def test_brute_force_equals_oracle_over_every_link_set():
+    multi_radio = Scenario(pinned_order_nodes()[:4], GameConfig(gamma=10.0))
+    # two clusters that no radio bridges: every state is infinite and the count rule decides
+    spots = ((0.0, 0.0), (20.0, 0.0), (10.0, 15.0), (1000.0, 0.0), (1020.0, 0.0))
+    split = Scenario(
+        tuple(make_node(i, spot, (MESH,) * (2 if i < 2 else 1), ic=i in (0, 3)) for i, spot in enumerate(spots)),
+        GameConfig(gamma=10.0),
+    )
+    assert len(feasible_pairings(multi_radio)[(0, 1)]) == 4 and (2, 3) not in feasible_pairings(split)
+    scenarios = [free_scenario(seed, max_nodes=4) for seed in range(16)] + [multi_radio, split]
+    for scenario in scenarios + [mirrored(scenario) for scenario in scenarios]:
+        expected = {
+            links
+            for links in all_link_sets(scenario)
+            if stability_oracle(Topology(scenario.nodes, links), scenario.config)[0]
+        }
+        assert {topology.links for topology in brute_force_stable_set(scenario)} == expected
+
+
 def test_fixed_points_belong_to_stable_set():
     for base_seed in (0, 5, 9):
         scenario = free_scenario(base_seed, max_nodes=4)
@@ -422,17 +458,20 @@ def test_fixed_points_belong_to_stable_set():
                 assert topology in stable
 
 
+def pinned_order_nodes():
+    """Five mesh nodes, three with two radios, so several pairs have several pairings."""
+    rhos = (1e4, 1e2, 1e3, 1e3, 1e4)
+    radios = (2, 2, 1, 1, 2)
+    positions = ((0.0, 0.0), (20.0, 0.0), (20.0, 20.0), (0.0, 20.0), (40.0, 10.0))
+    return tuple(make_node(i, positions[i], (MESH,) * radios[i], rho=rhos[i]) for i in range(5))
+
+
 def test_stability_report_order_is_pinned():
     # Reports and `linkform check` serialise these tuples in order: severances
     # by link, then endpoint; additions by pair, each with the pairing of
     # lowest delta for the lower-id endpoint, then lowest interfaces. Pairs
     # (0, 1) and (0, 2) each have several improving pairings, none first.
-    rhos = (1e4, 1e2, 1e3, 1e3, 1e4)
-    radios = (2, 2, 1, 1, 2)
-    positions = ((0.0, 0.0), (20.0, 0.0), (20.0, 20.0), (0.0, 20.0), (40.0, 10.0))
-    nodes = tuple(
-        make_node(i, positions[i], (MESH,) * radios[i], rho=rhos[i]) for i in range(5)
-    )
+    nodes = pinned_order_nodes()
     links = {
         Link(0, 0, 3, 0), Link(1, 0, 4, 1), Link(1, 1, 2, 0), Link(1, 1, 3, 0),
         Link(2, 0, 3, 0), Link(2, 0, 4, 0), Link(3, 0, 4, 1),
