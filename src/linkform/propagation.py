@@ -26,6 +26,7 @@ def required_tx_power(
 
     Strictly increasing in distance; for path distances beyond one wavelength
     fraction (4*pi*d*f/c > 1) also increasing in the path-loss exponent.
+    Distances whose path loss overflows a float need ``math.inf``.
     """
     if tx.kind != rx.kind:
         raise ValueError(f"interface kinds differ: {tx.kind!r} vs {rx.kind!r}")
@@ -34,7 +35,11 @@ def required_tx_power(
     if distance_m <= 0:
         raise ValueError(f"distance must be positive, got {distance_m}")
     ratio = 4.0 * math.pi * distance_m * tx.frequency_hz / SPEED_OF_LIGHT_M_S
-    return rx.rx_sensitivity_w * ratio**config.path_loss_exponent / (tx.antenna_gain * rx.antenna_gain)
+    try:
+        path_loss = ratio**config.path_loss_exponent
+    except OverflowError:
+        return math.inf  # beyond any float budget, so no finite power suffices
+    return rx.rx_sensitivity_w * path_loss / (tx.antenna_gain * rx.antenna_gain)
 
 
 def link_feasible(node_i: Node, r_i: int, node_j: Node, r_j: int, config: GameConfig) -> bool:

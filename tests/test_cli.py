@@ -9,7 +9,7 @@ from operator import getitem
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from generators import clique_suite_scenario, free_scenario, random_graph_scenario, random_topology, uplink_suite_scenario
 from linkform.cli import (
@@ -311,6 +311,7 @@ def quiet_exit_code(*argv):
 
 @settings(max_examples=50, deadline=None)
 @given(mutations(FIXTURE_DOCUMENT))
+@example(("replace", ("nodes", 4, "position", 0), 1.3327766554689647e152))
 def test_cli_exit_code_on_mutated_scenario(mutation):
     with tempfile.TemporaryDirectory() as work:
         scenario, topology = Path(work, "scenario.json"), Path(work, "topology.json")

@@ -63,6 +63,13 @@ def test_domain_errors():
         required_tx_power(WLAN, WLAN, 0.0, CFG)
 
 
+def test_overflowing_path_loss_needs_infinite_power():
+    far = 1.3327766554689647e152
+    assert required_tx_power(WLAN, WLAN, far, GameConfig(gamma=10.0, path_loss_exponent=3.0)) == math.inf
+    a = make_node(0, (0.0, 0.0), (WLAN,), b_min=1e7)
+    b = make_node(1, (far, 0.0), (WLAN,), b_min=1e7)
+    assert not link_feasible(a, 0, b, 0, CFG)
+
 def test_link_feasible_table_values():
     a = make_node(0, (0.0, 0.0), (WLAN,), b_min=1e7)
     b = make_node(1, (10.0, 0.0), (WLAN,), b_min=1e7)
