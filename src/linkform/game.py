@@ -18,6 +18,7 @@ endpoint wins, then the lowest interfaces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -264,7 +265,7 @@ class _Evaluator:
             self._rebuild()
         if i not in self.parts:
             self.parts[i] = self._parts(self.balls[i], self.ends[i])
-        return _priced(self.cfg.alpha, self.ends[i], *self.parts[i])
+        return _state(_link_cost(self.cfg.alpha, self.ends[i]), *self.parts[i])
 
     def states(self) -> dict[int, State]:
         return {i: self.state(i) for i in self.ids}
@@ -306,10 +307,8 @@ class _Evaluator:
         return self._parts(row, rest)
 
 
-def _priced(alpha: float, ends: Ends, gic: float, non_ic: int, bridging: float, unreachable: int) -> State:
-    """A node's state from its link ends, in peer order, and its other parts."""
-    if unreachable:
-        return (math.inf, unreachable)
+def _link_cost(alpha: float, ends: Ends) -> float:
+    """``alpha`` times, per own interface, its link count times its unit sum; units summed in peer order."""
     unit_sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for _, r_own, unit in ends:
@@ -318,6 +317,13 @@ def _priced(alpha: float, ends: Ends, gic: float, non_ic: int, bridging: float, 
     link_cost = 0.0
     for r_own, unit_sum in unit_sums.items():
         link_cost += alpha * counts[r_own] * unit_sum
+    return link_cost
+
+
+def _state(link_cost: float, gic: float, non_ic: int, bridging: float, unreachable: int) -> State:
+    """A node's state from its link cost and its other parts."""
+    if unreachable:
+        return (math.inf, unreachable)
     if math.isinf(link_cost):
         return (math.inf, 0)
     return (link_cost + gic + non_ic + bridging, 0)
@@ -355,11 +361,11 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
         for at, (peer, _, _) in enumerate(own):
             rest = own[:at] + own[at + 1 :]
             bound = severed(i, rest, exact=False)
-            if not _improves(before, _priced(alpha, [], *bound)):  # passed over at zero link cost
+            if not _improves(before, _state(0.0, *bound)):  # passed over at zero link cost
                 continue
-            if not _improves(before, _priced(alpha, rest, *bound)):
+            if not _improves(before, _state(_link_cost(alpha, rest), *bound)):
                 continue
-            after = _priced(alpha, rest, *severed(i, rest, exact=True))
+            after = _state(_link_cost(alpha, rest), *severed(i, rest, exact=True))
             if _improves(before, after):
                 a, b = pair = (i, peer) if i < peer else (peer, i)
                 option = evaluator.links[pair]
@@ -387,17 +393,17 @@ def _additions(
         a, b = pair
         before_a = base[a]
         at_a, parts_a = grown(a, b)
-        if not _improves(before_a, _priced(alpha, [], *parts_a)):
+        if not _improves(before_a, _state(0.0, *parts_a)):
             continue
         before_b = base[b]
         ends_a, ends_b = ends[a], ends[b]
         improving = []
         for option in pairings[pair]:
-            after_a = _priced(alpha, [*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]], *parts_a)
+            after_a = _state(_link_cost(alpha, [*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]]), *parts_a)
             if not _improves(before_a, after_a):
                 continue
             at_b, parts_b = grown(b, a)
-            after_b = _priced(alpha, [*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]], *parts_b)
+            after_b = _state(_link_cost(alpha, [*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]]), *parts_b)
             if _improves(before_b, after_b):
                 delta_b = _resolved_delta(before_b, after_b)
                 improving.append((_resolved_delta(before_a, after_a), option.r_a, option.r_b, delta_b))
@@ -409,29 +415,14 @@ def _additions(
 def _toggle_states(
     topology: Topology, config: GameConfig, link: Link, ids: tuple[int, ...]
 ) -> list[tuple[State, State]]:
-    """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added.
-
-    Endpoints are priced on the loaded link set, as the scans price them; any
-    other node's after state needs the toggled link set loaded.
-    """
+    """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added."""
     evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     before = [evaluator.state(i) for i in ids]
-    if not all(map(link.touches, ids)):  # only additions are asked of other nodes
+    if link in topology.links:
+        evaluator.remove(link.pair)
+    else:
         evaluator.place_link(link)
-        return list(zip(before, map(evaluator.state, ids)))
-    a, b = link.pair
-    option = _pairing(config, topology.node(a), link.iface_a, topology.node(b), link.iface_b)
-    ends = {a: (b, option.r_a, option.unit_a), b: (a, option.r_b, option.unit_b)}
-    after = []
-    for i in ids:
-        own = evaluator.ends[i]
-        at = bisect_left(own, ends[i][:1])
-        if link in topology.links:
-            rest = own[:at] + own[at + 1 :]
-            after.append(_priced(config.alpha, rest, *evaluator.severed(i, rest, exact=True)))
-        else:
-            after.append(_priced(config.alpha, [*own[:at], ends[i], *own[at:]], *evaluator.grown(i, ends[i][0])[1]))
-    return list(zip(before, after))
+    return list(zip(before, [evaluator.state(i) for i in ids]))
 
 
 def _defined_delta(before: State, after: State) -> float:
@@ -625,18 +616,9 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     for k, (a, b) in enumerate(pair_order):
         sides[a, k] = [(b, option.r_a, option.unit_a) for option in pairings[a, b]]
         sides[b, k] = [(a, option.r_b, option.unit_b) for option in pairings[a, b]]
-    link_costs: dict[tuple, float] = {}
+    link_cost = functools.cache(functools.partial(_link_cost, scenario.config.alpha))  # by a node's ends
     combos: dict[tuple, list[tuple]] = {}  # (node, its pairs in S): (pairing indices, its ends) per combination
     memo: dict[tuple[int, int], dict[tuple, int]] = {}  # verdicts within one subset
-
-    def priced(ends: tuple, parts: Parts) -> State:
-        """``_priced``, with the link cost memoised by ``ends``."""
-        if parts[3]:
-            return (math.inf, parts[3])
-        if ends not in link_costs:
-            link_costs[ends] = _priced(scenario.config.alpha, ends, 0.0, 0, 0.0, 0)[0]
-        link = link_costs[ends]
-        return (math.inf, 0) if math.isinf(link) else (link + parts[0] + parts[1] + parts[2], 0)
 
     def verdicts(i: int, k: int, subset: int) -> dict[tuple[int, ...], int]:
         """By the pairings of i's links: a mask of absent k's improving pairings, or for k = -1 if a cut improves."""
@@ -649,13 +631,14 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
                 ]
             memo[i, k] = row = {}
             for index, ends in combos[i, linked]:
-                before = priced(ends, table[subset][i])
+                before = _state(link_cost(ends), *table[subset][i])
                 if k < 0:
-                    cuts = enumerate(table[subset ^ 1 << cut][i] for cut in linked)
-                    row[index] = any(_improves(before, priced(ends[:at] + ends[at + 1 :], parts)) for at, parts in cuts)
+                    cut_parts = enumerate(table[subset ^ 1 << cut][i] for cut in linked)
+                    cuts = (_state(link_cost(ends[:at] + ends[at + 1 :]), *parts) for at, parts in cut_parts)
+                    row[index] = any(_improves(before, after) for after in cuts)
                 else:
                     at, parts = bisect_left(ends, (sides[i, k][0][0],)), table[subset | 1 << k][i]
-                    grown = (priced((*ends[:at], end, *ends[at:]), parts) for end in sides[i, k])
+                    grown = (_state(link_cost((*ends[:at], end, *ends[at:])), *parts) for end in sides[i, k])
                     row[index] = sum(1 << j for j, after in enumerate(grown) if _improves(before, after))
         return memo[i, k]
 

@@ -24,9 +24,9 @@ def required_tx_power(
 ) -> float:
     """Minimum power (watts) the ``tx`` interface must emit for ``rx`` to decode.
 
-    Strictly increasing in distance; for path distances beyond one wavelength
-    fraction (4*pi*d*f/c > 1) also increasing in the path-loss exponent.
-    Distances whose path loss overflows a float need ``math.inf``.
+    Non-decreasing in distance, and ``math.inf`` once the path loss overflows a
+    float; for path distances beyond one wavelength fraction (4*pi*d*f/c > 1)
+    also increasing in the path-loss exponent.
     """
     if tx.kind != rx.kind:
         raise ValueError(f"interface kinds differ: {tx.kind!r} vs {rx.kind!r}")

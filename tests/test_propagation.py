@@ -70,6 +70,7 @@ def test_overflowing_path_loss_needs_infinite_power():
     b = make_node(1, (far, 0.0), (WLAN,), b_min=1e7)
     assert not link_feasible(a, 0, b, 0, CFG)
 
+
 def test_link_feasible_table_values():
     a = make_node(0, (0.0, 0.0), (WLAN,), b_min=1e7)
     b = make_node(1, (10.0, 0.0), (WLAN,), b_min=1e7)
