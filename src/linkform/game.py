@@ -18,6 +18,7 @@ endpoint wins, then the lowest interfaces.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -211,6 +212,12 @@ class _Evaluator:
         del self.ends[b][bisect_left(self.ends[b], (a,))]
         del self.links[pair]
         self.balls = None
+
+    def apply(self, move: Move) -> None:
+        if isinstance(move, Remove):
+            self.remove(move.link.pair)
+        else:
+            self.place_link(move.link)
 
     def links_snapshot(self) -> frozenset[Link]:
         return frozenset(Link(a, option.r_a, b, option.r_b) for (a, b), option in self.links.items())
@@ -519,6 +526,12 @@ def best_response_dynamics(
     order, making order sensitivity measurable. Identical scenario and seed
     reproduce the identical trace. A run that stops at ``max_moves`` is
     reported as non-converged, never raised.
+
+    The next move, its deltas and the costs depend only on the link set and
+    the scan order, so a run that reaches an earlier link set again repeats
+    the moves since then forever. It is completed to ``max_moves`` by
+    repeating those steps, byte for byte what scanning them would give. A
+    repeated topology hash is confirmed link by link before it counts.
     """
     issues = validate_scenario(scenario.nodes, scenario.config)
     if issues:
@@ -535,6 +548,7 @@ def best_response_dynamics(
     steps: list[TraceStep] = []
     converged = False
     base = evaluator.states()
+    reached = {links_digest(()): 0}  # topology hash -> moves made when last reached
     while len(steps) < max_moves:
         deviations = itertools.chain(
             _severances(evaluator, base, node_order),
@@ -544,18 +558,21 @@ def best_response_dynamics(
         if move is None:
             converged = True
             break
-        if isinstance(move, Remove):
-            evaluator.remove(move.link.pair)
-        else:
-            evaluator.place_link(move.link)
+        evaluator.apply(move)
         base = evaluator.states()
-        steps.append(
-            TraceStep(
-                move=move,
-                topology_hash=links_digest(evaluator.links_snapshot()),
-                costs=tuple((i, state[0]) for i, state in base.items()),
-            )
-        )
+        digest = links_digest(evaluator.links_snapshot())
+        steps.append(TraceStep(move=move, topology_hash=digest, costs=tuple((i, state[0]) for i, state in base.items())))
+        start, reached[digest] = reached.get(digest), len(steps)
+        if start is not None:
+            net: collections.Counter[Link] = collections.Counter()
+            for step in steps[start:]:
+                net[step.move.link] += 1 if isinstance(step.move, Add) else -1
+            if not any(net.values()):  # the same link set, not only the same 64-bit digest
+                cycle, left = steps[start:], max_moves - len(steps)
+                steps += itertools.islice(itertools.cycle(cycle), left)
+                for step in cycle[: left % len(cycle)]:
+                    evaluator.apply(step.move)
+                break
     topology = Topology(scenario.nodes, evaluator.links_snapshot())
     return topology, DynamicsTrace(seed=seed, steps=tuple(steps), converged=converged)
 

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from linkform import game
 from linkform.cli import fixture_path, load_scenario, trace_to_jsonl
 from linkform.cost import total_cost
 from linkform.game import (
+    DEFAULT_MAX_MOVES,
     Add,
     Rejection,
     Remove,
@@ -373,6 +375,45 @@ def test_every_severance_follows_the_documented_rule(scan_seed, severances):
     scenario = load_scenario(fixture_path("smart_home_gamma570.json"))
     moves = check_moves_against_reference(scenario, scan_seed, max_moves=60)
     assert sum(isinstance(move, Remove) for move in moves) == severances
+
+
+def cycling_fixture():
+    """The 570 fixture at gamma 610: scan seed 2 enters a 6-move cycle at move 21."""
+    scenario = load_scenario(fixture_path("smart_home_gamma570.json"))
+    return Scenario(scenario.nodes, dataclasses.replace(scenario.config, gamma=610.0))
+
+
+def test_repeated_cycle_moves_follow_the_documented_rule():
+    # the link set after move 27 is the one after move 21, so moves 28-40 are repeated, not scanned
+    scenario = cycling_fixture()
+    check_moves_against_reference(scenario, 2, max_moves=40)
+    assert not best_response_dynamics(scenario, seed=2, max_moves=40)[1].converged
+
+
+@pytest.fixture(scope="module")
+def cycling_run():
+    return best_response_dynamics(cycling_fixture(), seed=2, max_moves=1000)
+
+
+@pytest.mark.parametrize("cap", [*range(27, 34), 1000])
+def test_a_capped_cycle_is_the_prefix_of_a_longer_run(cycling_run, cap):
+    full = cycling_run[1].steps
+    assert full[21:27] == full[27:33]
+    topology, trace = best_response_dynamics(cycling_fixture(), seed=2, max_moves=cap)
+    assert len(trace.steps) == cap and trace.steps == full[:cap]
+    assert replay_trace(cycling_fixture(), trace) == topology
+
+
+def test_a_digest_collision_does_not_fake_a_cycle(monkeypatch):
+    runs = [(cycling_fixture(), 60), (load_scenario(fixture_path("smart_home_gamma570.json")), DEFAULT_MAX_MOVES)]
+
+    def outcome(scenario, max_moves):
+        topology, trace = best_response_dynamics(scenario, seed=2, max_moves=max_moves)
+        return topology, [step.move for step in trace.steps], [step.costs for step in trace.steps]
+
+    expected = [outcome(*run) for run in runs]
+    monkeypatch.setattr(game, "links_digest", lambda links: "0" * 16)
+    assert [outcome(*run) for run in runs] == expected
 
 
 def test_invalid_scenario_rejected():
