@@ -399,9 +399,10 @@ def cycling_run():
 def test_a_capped_cycle_is_the_prefix_of_a_longer_run(cycling_run, cap):
     full = cycling_run[1].steps
     assert full[21:27] == full[27:33]
-    topology, trace = best_response_dynamics(cycling_fixture(), seed=2, max_moves=cap)
+    scenario = cycling_fixture()
+    topology, trace = best_response_dynamics(scenario, seed=2, max_moves=cap)
     assert len(trace.steps) == cap and trace.steps == full[:cap]
-    assert replay_trace(cycling_fixture(), trace) == topology
+    assert replay_trace(scenario, trace) == topology
 
 
 def test_a_digest_collision_does_not_fake_a_cycle(monkeypatch):
