@@ -24,6 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Iterable
 
 from .cost import bandwidth_ratio
 from .game import PairingTable, pairing_table
@@ -130,45 +131,22 @@ def _clique_witnesses(scenario: Scenario, pairings: PairingTable) -> list[Witnes
     return witnesses
 
 
-def _uplink_witnesses(scenario: Scenario, pairings: PairingTable) -> list[Witness]:
-    threshold = scenario.config.gamma - 1.0
-    witnesses: list[Witness] = []
-    for ic_id in scenario.ic_ids:
-        ic_node = scenario.node(ic_id)
-        for non_id in scenario.non_ic_ids:
-            costs = _side_costs(scenario, pairings, ic_node, scenario.node(non_id), congestion=1)
-            if not costs:
-                continue
-            cheapest, r_own, r_peer = min(costs)
-            if not cheapest > threshold:
-                witnesses.append(
-                    Witness(
-                        nodes=(ic_id, non_id),
-                        cost=cheapest,
-                        threshold=threshold,
-                        note=f"cheapest pairing ({r_own}, {r_peer}) does not exceed gamma - 1",
-                    )
-                )
-    return witnesses
+def _cheap_witnesses(
+    scenario: Scenario, pairings: PairingTable, ordered_pairs: Iterable[tuple[int, int]], threshold: float, bound: str
+) -> list[Witness]:
+    """Owner-peer pairs whose cheapest owner-side pairing at congestion 1 does not exceed ``threshold``.
 
-
-def _star_witnesses(scenario: Scenario, pairings: PairingTable) -> list[Witness]:
-    threshold = 0.5
+    Pairs with no feasible pairing can never link, so they are no witness.
+    """
     witnesses: list[Witness] = []
-    for a_id, b_id in itertools.permutations(scenario.non_ic_ids, 2):
-        costs = _side_costs(scenario, pairings, scenario.node(a_id), scenario.node(b_id), congestion=1)
+    for owner, peer in ordered_pairs:
+        costs = _side_costs(scenario, pairings, scenario.node(owner), scenario.node(peer), congestion=1)
         if not costs:
             continue
         cheapest, r_own, r_peer = min(costs)
         if not cheapest > threshold:
-            witnesses.append(
-                Witness(
-                    nodes=(a_id, b_id),
-                    cost=cheapest,
-                    threshold=threshold,
-                    note=f"cheapest pairing ({r_own}, {r_peer}) does not exceed 1/2",
-                )
-            )
+            note = f"cheapest pairing ({r_own}, {r_peer}) does not exceed {bound}"
+            witnesses.append(Witness(nodes=(owner, peer), cost=cheapest, threshold=threshold, note=note))
     return witnesses
 
 
@@ -210,8 +188,10 @@ CRITERIA_NOTES = (
 def criteria_report(scenario: Scenario) -> CriteriaReport:
     pairings = pairing_table(scenario)
     clique = _clique_witnesses(scenario, pairings)
-    single_ic_link = clique + _uplink_witnesses(scenario, pairings)
-    star = single_ic_link + _star_witnesses(scenario, pairings)
+    uplinks = itertools.product(scenario.ic_ids, scenario.non_ic_ids)
+    single_ic_link = clique + _cheap_witnesses(scenario, pairings, uplinks, scenario.config.gamma - 1.0, "gamma - 1")
+    lateral = itertools.permutations(scenario.non_ic_ids, 2)
+    star = single_ic_link + _cheap_witnesses(scenario, pairings, lateral, 0.5, "1/2")
     return CriteriaReport(
         clique=_result(clique),
         single_ic_link=_result(single_ic_link),

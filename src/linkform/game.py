@@ -123,8 +123,8 @@ PairingTable = dict[tuple[int, int], tuple[PairingOption, ...]]
 
 def _unit(config: GameConfig, owner: Node, r_own: int, peer: Node, r_peer: int) -> tuple[float, float]:
     """(sigma, rho * sigma / beta) for one endpoint; both inf for unusable assignments."""
-    iface = owner.interfaces[r_own]
-    other = peer.interfaces[r_peer]
+    iface = owner.interface(r_own)
+    other = peer.interface(r_peer)
     if iface.kind != other.kind or iface.frequency_hz != other.frequency_hz:
         return math.inf, math.inf
     distance = distance_between(owner, peer)
@@ -180,29 +180,22 @@ class _Evaluator:
         self.n_ic = len(scenario.ic_ids)
         self.h = min(self.cfg.h_max, max(self.n - 1, 0))
         self.ends: dict[int, Ends] = {i: [] for i in self.ids}
-        self.links: dict[tuple[int, int], PairingOption] = {}  # each link as priced, by (lower id, higher id)
-        self.load(links)
+        self.links: dict[tuple[int, int], Link] = {}  # by (lower id, higher id); the ends keep the units
+        self.balls: dict[int, list[int]] | None = None  # None until priced for the linked pairs
+        for link in links:  # infeasible links are priced as infinite
+            self.place_link(link)
 
     # -- mutable link set -----------------------------------------------------
 
-    def load(self, links: Iterable[Link]) -> None:
-        """Install an arbitrary link set, pricing infeasible links as infinite."""
-        for ends in self.ends.values():
-            ends.clear()
-        self.links.clear()
-        self.balls: dict[int, list[int]] | None = None  # None until priced for the linked pairs
-        for link in links:
-            self.place_link(link)
-
     def place_link(self, link: Link) -> None:
         node_a, node_b = self.by_id[link.node_a], self.by_id[link.node_b]
-        self.place(link.pair, _pairing(self.cfg, node_a, link.iface_a, node_b, link.iface_b))
+        self.place(link, _pairing(self.cfg, node_a, link.iface_a, node_b, link.iface_b))
 
-    def place(self, pair: tuple[int, int], option: PairingOption) -> None:
-        """Link the unlinked ``pair``, priced as ``option``."""
-        a, b = pair
+    def place(self, link: Link, option: PairingOption) -> None:
+        """Add ``link`` between an unlinked pair, priced as ``option``."""
+        a, b = pair = link.pair
         self.balls = None
-        self.links[pair] = option
+        self.links[pair] = link
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
 
@@ -218,9 +211,6 @@ class _Evaluator:
             self.remove(move.link.pair)
         else:
             self.place_link(move.link)
-
-    def links_snapshot(self) -> frozenset[Link]:
-        return frozenset(Link(a, option.r_a, b, option.r_b) for (a, b), option in self.links.items())
 
     # -- evaluation -----------------------------------------------------------
 
@@ -243,7 +233,6 @@ class _Evaluator:
         for row in self.balls.values():
             row += [row[-1]] * (self.h + 1 - len(row))
         self.parts: dict[int, Parts] = {}
-        self.grown_parts: dict[tuple[int, int], tuple[int, Parts]] = {}
 
     def _parts(self, row: list[int], own: Ends, grown_peer: int = -1) -> Parts:
         """Parts from balls B_0..B_h and link ends; hop sums are ``sum over k < h of |class - B_k|``."""
@@ -279,13 +268,10 @@ class _Evaluator:
 
     def grown(self, a: int, b: int) -> tuple[int, Parts]:
         """Where ``b`` goes among a's link ends, and a's parts from ``B_k(a) | B_{k-1}(b)`` once a-b is added."""
-        key = (a, b)
-        if key not in self.grown_parts:
-            own, row = self.ends[a], self.balls[a]
-            at = bisect_left(own, (b,))
-            trial = [*own[:at], (b, 0, 0.0), *own[at:]]
-            self.grown_parts[key] = at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], trial, b)
-        return self.grown_parts[key]
+        own, row = self.ends[a], self.balls[a]
+        at = bisect_left(own, (b,))
+        trial = [*own[:at], (b, 0, 0.0), *own[at:]]
+        return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], trial, b)
 
     def severed(self, i: int, rest: Ends, exact: bool) -> Parts:
         """``i``'s parts once a link is cut, leaving it ``rest``: a bitset BFS if ``exact``, else a lower bound.
@@ -370,13 +356,13 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
             bound = severed(i, rest, exact=False)
             if not _improves(before, _state(0.0, *bound)):  # passed over at zero link cost
                 continue
-            if not _improves(before, _state(_link_cost(alpha, rest), *bound)):
+            link_cost = _link_cost(alpha, rest)
+            if not _improves(before, _state(link_cost, *bound)):
                 continue
-            after = _state(_link_cost(alpha, rest), *severed(i, rest, exact=True))
+            after = _state(link_cost, *severed(i, rest, exact=True))
             if _improves(before, after):
-                a, b = pair = (i, peer) if i < peer else (peer, i)
-                option = evaluator.links[pair]
-                yield Remove(link=Link(a, option.r_a, b, option.r_b), initiator=i, delta=_resolved_delta(before, after))
+                link = evaluator.links[(i, peer) if i < peer else (peer, i)]
+                yield Remove(link=link, initiator=i, delta=_resolved_delta(before, after))
 
 
 def _additions(
@@ -404,12 +390,12 @@ def _additions(
             continue
         before_b = base[b]
         ends_a, ends_b = ends[a], ends[b]
-        improving = []
+        improving, grown_b = [], None
         for option in pairings[pair]:
             after_a = _state(_link_cost(alpha, [*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]]), *parts_a)
             if not _improves(before_a, after_a):
                 continue
-            at_b, parts_b = grown(b, a)
+            at_b, parts_b = grown_b = grown_b or grown(b, a)
             after_b = _state(_link_cost(alpha, [*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]]), *parts_b)
             if _improves(before_b, after_b):
                 delta_b = _resolved_delta(before_b, after_b)
@@ -442,8 +428,10 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
     """Cost change for ``node`` if ``link`` were added; raises when undefined.
 
     Raises IncomparableCostError when both states are infinite, and ValueError
-    when the link is already present or physically infeasible.
+    when the node is not in the topology or the link is already present or
+    physically infeasible.
     """
+    topology.node(node.id)
     if link in topology.links or topology.has_pair(link.node_a, link.node_b):
         raise ValueError(f"{link} already present")
     if not link_feasible(
@@ -560,7 +548,7 @@ def best_response_dynamics(
             break
         evaluator.apply(move)
         base = evaluator.states()
-        digest = links_digest(evaluator.links_snapshot())
+        digest = links_digest(evaluator.links.values())
         steps.append(TraceStep(move=move, topology_hash=digest, costs=tuple((i, state[0]) for i, state in base.items())))
         start, reached[digest] = reached.get(digest), len(steps)
         if start is not None:
@@ -573,7 +561,7 @@ def best_response_dynamics(
                 for step in cycle[: left % len(cycle)]:
                     evaluator.apply(step.move)
                 break
-    topology = Topology(scenario.nodes, evaluator.links_snapshot())
+    topology = Topology(scenario.nodes, frozenset(evaluator.links.values()))
     return topology, DynamicsTrace(seed=seed, steps=tuple(steps), converged=converged)
 
 
@@ -593,18 +581,20 @@ def _parts_table(
 ) -> list[dict[int, Parts]]:
     """Every node's parts at every subset of ``pair_order``, by bitmask (bit k links ``pair_order[k]``).
 
-    Parts do not depend on pairings, so each pair is placed as its first
-    option. Subsets follow a Gray code: each step toggles one pair.
+    ``evaluator`` starts with no links. Parts do not depend on pairings, so
+    each pair is placed as its first option. Subsets follow a Gray code: each
+    step toggles one pair.
     """
     table: list[dict[int, Parts]] = [{}] * (1 << len(pair_order))
-    evaluator.load(())
+    firsts = [pairings[pair][0] for pair in pair_order]
+    links = [Link(a, option.r_a, b, option.r_b) for (a, b), option in zip(pair_order, firsts)]
     subset = 0
     for step in range(len(table)):
         if step:
             k = (step & -step).bit_length() - 1
             subset ^= 1 << k
             if subset >> k & 1:
-                evaluator.place(pair_order[k], pairings[pair_order[k]][0])
+                evaluator.place(links[k], firsts[k])
             else:
                 evaluator.remove(pair_order[k])
         evaluator._rebuild()

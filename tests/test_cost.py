@@ -250,8 +250,7 @@ def test_incremental_evaluator_matches_reference_costs():
         scenario = free_scenario(seed)
         rng = random.Random(1000 + seed)
         topology = random_topology(scenario, rng)
-        evaluator = _Evaluator(scenario)
-        evaluator.load(topology.links)
+        evaluator = _Evaluator(scenario, topology.links)
         for node in scenario.nodes:
             fast_cost, fast_unreachable = evaluator.state(node.id)
             reference = total_cost(node, topology, scenario.config).total.value

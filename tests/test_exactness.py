@@ -147,10 +147,10 @@ def test_parts_table_equals_grown_and_severed():
         pairings = game.pairing_table(scenario)
         pair_order = sorted(pairings)
         table = game._parts_table(game._Evaluator(scenario), pairings, pair_order)
-        evaluator = game._Evaluator(scenario)
         for subset, parts in enumerate(table):
             linked = [pair for k, pair in enumerate(pair_order) if subset >> k & 1]
-            evaluator.load(Link(a, pairings[a, b][0].r_a, b, pairings[a, b][0].r_b) for a, b in linked)
+            links = [Link(a, pairings[a, b][0].r_a, b, pairings[a, b][0].r_b) for a, b in linked]
+            evaluator = game._Evaluator(scenario, links)
             evaluator.states()
             assert parts == evaluator.parts
             for k, (a, b) in enumerate(pair_order):
@@ -187,8 +187,7 @@ def test_states_do_not_depend_on_link_insertion_order():
         forward, backward = sorted(links), sorted(links, reverse=True)
         states = []
         for order in (forward, backward):
-            evaluator = game._Evaluator(scenario)
-            evaluator.load(order)
+            evaluator = game._Evaluator(scenario, order)
             states.append([(bits(cost), unreachable) for cost, unreachable in map(evaluator.state, scenario.ids)])
         assert states[0] == states[1]
 

@@ -109,6 +109,13 @@ def test_delta_add_preconditions():
         delta_cost_add(scenario.nodes[0], topo, Link(0, 0, 1, 0), scenario.config)
 
 
+def test_delta_add_for_a_node_outside_the_topology_is_a_value_error():
+    scenario = ic_trio()
+    pair_only = Topology.empty(scenario.nodes[:2])
+    with pytest.raises(ValueError, match="unknown node id 2"):
+        delta_cost_add(scenario.nodes[2], pair_only, Link(0, 0, 1, 0), scenario.config)
+
+
 def test_delta_remove_bridge_is_positive_infinity():
     scenario = ic_trio()
     pair_only = Scenario(scenario.nodes[:2], scenario.config)
@@ -234,6 +241,17 @@ def test_stability_matches_oracle_on_examples():
         assert report.stable == stable
         assert set(report.severance_violations) == severances
         assert set(report.addition_violations) == additions
+
+
+@pytest.mark.parametrize("iface", [-1, 1])  # every node of the trio has one interface
+def test_an_interface_index_out_of_range_is_a_value_error(iface):
+    scenario = ic_trio()
+    topology = Topology(scenario.nodes, frozenset({Link(0, iface, 1, 0)}))
+    message = f"node 0 has no interface {iface}"
+    with pytest.raises(ValueError, match=message):
+        total_cost(scenario.nodes[0], topology, scenario.config)
+    with pytest.raises(ValueError, match=message):
+        is_pairwise_stable(topology, scenario.config)
 
 
 # -- dynamics ----------------------------------------------------------------------

@@ -1,19 +1,30 @@
-"""Byte identity of ``linkform run`` and ``linkform sweep`` artifacts.
+"""Byte identity of ``linkform run`` and ``linkform sweep`` artifacts and of enumerated stable sets.
 
-The fixture run and sweep digests are entries of ``perfbench/goldens.json``,
-which the benchmark also checks; these tests only read them. The cycling run's
-digests are literals, recorded before cycles were completed by repetition.
+The fixture and tiled n = 20 run digests, the sweep digest and the first
+analyze_small stable sets are entries of ``perfbench/goldens.json``, which the
+benchmark also checks; these tests only read them, and build their inputs
+with the benchmark's own generators. The cycling run's digests are literals,
+recorded before cycles were completed by repetition.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from linkform import cli, model, propagation
 from linkform.cli import fixture_path, main
+from linkform.game import brute_force_stable_set
 
-GOLDENS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text())
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import goldens  # noqa: E402
+import scenarios  # noqa: E402
+
+GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text())
 
 
 def sha256(path):
@@ -28,6 +39,21 @@ def test_run_artifacts_match_golden_digests(tmp_path, capsys, fixture, seed):
     expected = GOLDENS["run"][f"{fixture}@{seed}"]
     actual = {name: sha256(out / name) for name in expected}
     assert actual == expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tiled_run_artifacts_match_golden_digests(tmp_path, capsys, seed):
+    scenario = goldens.write_tiled(cli, "tiled20", tmp_path, GOLDENS["tiled_inputs"])  # raises if the input drifted
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(scenario), "--seed", str(seed), "--out", str(out)]) in (0, 2)
+    expected = GOLDENS["run"][f"tiled20@{seed}"]
+    assert {name: sha256(out / name) for name in expected} == expected
+
+
+@pytest.mark.parametrize("unit", range(2))
+def test_stable_sets_match_golden_digests(unit):
+    case = scenarios.generate(model, propagation, 0, unit + 1)[unit]  # analyze_small seed 0
+    assert goldens.stable_set_digest(brute_force_stable_set(case.scenario)) == GOLDENS["analyze_small"]["0"][unit]
 
 
 def test_sweep_matches_golden_digest(tmp_path, capsys):
