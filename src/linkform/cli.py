@@ -261,7 +261,8 @@ def topology_to_dot(topology: Topology) -> str:
         lines.append(f'  {node.id} [shape={shape}];')
     for link in sorted(topology.links):
         kind = topology.node(link.node_a).interfaces[link.iface_a].kind
-        lines.append(f'  {link.node_a} -- {link.node_b} [label="{kind}"];')
+        label = kind.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {link.node_a} -- {link.node_b} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

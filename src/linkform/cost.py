@@ -67,7 +67,10 @@ def link_cost_sum(node_i: Node, topology: Topology, config: GameConfig) -> Cost:
         per_interface.setdefault(r_own, []).append(node_i.energy_weight * sigma / beta)
     total = 0.0
     for terms in per_interface.values():
-        total += config.alpha * len(terms) * sum(terms)
+        unit_sum = 0.0
+        for term in terms:  # one term at a time, as the engine adds them; builtin sum() compensates from 3.12 on
+            unit_sum += term
+        total += config.alpha * len(terms) * unit_sum
     return Cost(total)
 
 
@@ -84,7 +87,9 @@ def bridging_coefficient(node_i: Node, topology: Topology) -> float:
     neighbors = topology.neighbors(node_i.id)
     if not neighbors:
         return 0.0
-    inverse_sum = sum(1.0 / topology.degree(peer) for peer in neighbors)
+    inverse_sum = 0.0
+    for peer in neighbors:  # sequential, like link_cost_sum
+        inverse_sum += 1.0 / topology.degree(peer)
     return (1.0 / len(neighbors)) / inverse_sum
 
 

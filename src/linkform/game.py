@@ -162,11 +162,11 @@ class _Evaluator:
     """Incremental cost evaluation for one scenario across candidate link sets.
 
     Answers state queries as (total cost, peers unreachable within the hop
-    cap) against a small mutable link set. ``balls[i][k]`` masks the nodes
-    within k hops of ``i`` by rank, for k <= min(h_max, n - 1). The balls are
-    rebuilt once per change of the linked pairs, and each node's ``parts`` on
-    first use after it. Peer sums run in ascending id order, whatever order
-    the links were placed in.
+    cap) against a small mutable link set. ``state`` prices one node by an
+    exact bitset search. ``states`` rebuilds ``balls`` and ``parts`` for the
+    current links: ``balls[i][k]`` masks the nodes within k hops of ``i`` by
+    rank, for k <= min(h_max, n - 1), and the scans read them. Peer sums run
+    in ascending id order, whatever order the links were placed in.
     """
 
     def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
@@ -181,7 +181,6 @@ class _Evaluator:
         self.h = min(self.cfg.h_max, max(self.n - 1, 0))
         self.ends: dict[int, Ends] = {i: [] for i in self.ids}
         self.links: dict[tuple[int, int], Link] = {}  # by (lower id, higher id); the ends keep the units
-        self.balls: dict[int, list[int]] | None = None  # None until priced for the linked pairs
         for link in links:  # infeasible links are priced as infinite
             self.place_link(link)
 
@@ -194,7 +193,6 @@ class _Evaluator:
     def place(self, link: Link, option: PairingOption) -> None:
         """Add ``link`` between an unlinked pair, priced as ``option``."""
         a, b = pair = link.pair
-        self.balls = None
         self.links[pair] = link
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
@@ -204,7 +202,6 @@ class _Evaluator:
         del self.ends[a][bisect_left(self.ends[a], (b,))]
         del self.ends[b][bisect_left(self.ends[b], (a,))]
         del self.links[pair]
-        self.balls = None
 
     def apply(self, move: Move) -> None:
         if isinstance(move, Remove):
@@ -215,9 +212,9 @@ class _Evaluator:
     # -- evaluation -----------------------------------------------------------
 
     def _rebuild(self) -> None:
-        """``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``; parts follow on first use."""
+        """``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``, then every node's parts."""
         level = self.bit
-        self.balls = {i: [ball] for i, ball in level.items()}
+        self.balls: dict[int, list[int]] = {i: [ball] for i, ball in level.items()}
         for _ in range(self.h):
             grown = {}
             for i, own in self.ends.items():
@@ -230,9 +227,10 @@ class _Evaluator:
             for i, row in self.balls.items():
                 row.append(grown[i])
             level = grown
-        for row in self.balls.values():
-            row += [row[-1]] * (self.h + 1 - len(row))
         self.parts: dict[int, Parts] = {}
+        for i, row in self.balls.items():
+            row += [row[-1]] * (self.h + 1 - len(row))
+            self.parts[i] = self._parts(row, self.ends[i])
 
     def _parts(self, row: list[int], own: Ends, grown_peer: int = -1) -> Parts:
         """Parts from balls B_0..B_h and link ends; hop sums are ``sum over k < h of |class - B_k|``."""
@@ -256,15 +254,15 @@ class _Evaluator:
         return self.cfg.gamma * ic_missing, levels * (self.n - self.n_ic) - (seen - ic_seen), bridging, 0
 
     def state(self, i: int) -> State:
-        """(total cost, number of peers unreachable within h_max) for node ``i``."""
-        if self.balls is None:
-            self._rebuild()
-        if i not in self.parts:
-            self.parts[i] = self._parts(self.balls[i], self.ends[i])
-        return _state(_link_cost(self.cfg.alpha, self.ends[i]), *self.parts[i])
+        """(total cost, number of peers unreachable within h_max) for node ``i``, by exact search."""
+        own = self.ends[i]
+        return _state(_link_cost(self.cfg.alpha, own), *self.reach(i, own))
 
     def states(self) -> dict[int, State]:
-        return {i: self.state(i) for i in self.ids}
+        """Every node's state; rebuilds the balls and parts the scans read."""
+        self._rebuild()
+        alpha, ends = self.cfg.alpha, self.ends
+        return {i: _state(_link_cost(alpha, ends[i]), *parts) for i, parts in self.parts.items()}
 
     def grown(self, a: int, b: int) -> tuple[int, Parts]:
         """Where ``b`` goes among a's link ends, and a's parts from ``B_k(a) | B_{k-1}(b)`` once a-b is added."""
@@ -273,22 +271,26 @@ class _Evaluator:
         trial = [*own[:at], (b, 0, 0.0), *own[at:]]
         return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], trial, b)
 
-    def severed(self, i: int, rest: Ends, exact: bool) -> Parts:
-        """``i``'s parts once a link is cut, leaving it ``rest``: a bitset BFS if ``exact``, else a lower bound.
+    def bound(self, i: int, rest: Ends) -> Parts:
+        """A lower bound on ``i``'s parts once a link is cut, leaving it ``rest``.
 
-        The bound grows i's balls from its other neighbours' current balls,
-        which may still reach through the cut link, so it can only reject.
+        It grows i's balls from its other neighbours' current balls, which
+        may still reach through the cut link, so it can only reject.
         """
         ball = self.bit[i]
         row = [ball]
-        if not exact:
-            if rest:
-                union = self.balls[rest[0][0]][:-1]
-                for j, _, _ in rest[1:]:
-                    union = list(map(or_, union, self.balls[j]))
-                row += map(ball.__or__, union)
-            return self._parts(row, rest)
-        frontier = [j for j, _, _ in rest]
+        if rest:
+            union = self.balls[rest[0][0]][:-1]
+            for j, _, _ in rest[1:]:
+                union = list(map(or_, union, self.balls[j]))
+            row += map(ball.__or__, union)
+        return self._parts(row, rest)
+
+    def reach(self, i: int, own: Ends) -> Parts:
+        """``i``'s parts with link ends ``own``, by a bitset BFS over the other nodes' current ends."""
+        ball = self.bit[i]
+        row = [ball]
+        frontier = [j for j, _, _ in own]
         for _ in range(self.h):
             reached = []
             for j in frontier:
@@ -297,7 +299,7 @@ class _Evaluator:
                     reached += [k for k, _, _ in self.ends[j]]
             row.append(ball)
             frontier = reached
-        return self._parts(row, rest)
+        return self._parts(row, own)
 
 
 def _link_cost(alpha: float, ends: Ends) -> float:
@@ -330,36 +332,30 @@ def _improves(before: State, after: State) -> bool:
 
 
 def _resolved_delta(before: State, after: State) -> float:
-    """Signed delta for records; count-based improvements resolve to -inf."""
-    if math.isinf(before[0]) and math.isinf(after[0]):
-        if after[1] < before[1]:
-            return -math.inf
-        if after[1] > before[1]:
-            return math.inf
-        return 0.0
-    return after[0] - before[0]
+    """Signed delta of an improvement (see ``_improves``); one between two infinite states resolves to -inf."""
+    return -math.inf if math.isinf(before[0]) and math.isinf(after[0]) else after[0] - before[0]
 
 
 def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Iterable[int]) -> Iterator[Remove]:
     """Every improving unilateral severance, one per endpoint incidence.
 
     Scans the nodes in ``node_order``, each against its peers in ascending id
-    order. ``base`` holds states from ``evaluator.state``, which leaves the
-    balls current. Only a severance the bound passes gets an exact BFS.
+    order. ``base`` holds states from ``evaluator.states``, which rebuilds
+    the balls. Only a severance the bound passes gets an exact BFS.
     """
-    alpha, severed = evaluator.cfg.alpha, evaluator.severed
+    alpha, bound, reach = evaluator.cfg.alpha, evaluator.bound, evaluator.reach
     for i in node_order:
         own = evaluator.ends[i]
         before = base[i]
         for at, (peer, _, _) in enumerate(own):
             rest = own[:at] + own[at + 1 :]
-            bound = severed(i, rest, exact=False)
-            if not _improves(before, _state(0.0, *bound)):  # passed over at zero link cost
+            lower = bound(i, rest)
+            if not _improves(before, _state(0.0, *lower)):  # passed over at zero link cost
                 continue
             link_cost = _link_cost(alpha, rest)
-            if not _improves(before, _state(link_cost, *bound)):
+            if not _improves(before, _state(link_cost, *lower)):
                 continue
-            after = _state(link_cost, *severed(i, rest, exact=True))
+            after = _state(link_cost, *reach(i, rest))
             if _improves(before, after):
                 link = evaluator.links[(i, peer) if i < peer else (peer, i)]
                 yield Remove(link=link, initiator=i, delta=_resolved_delta(before, after))
@@ -374,9 +370,8 @@ def _additions(
     """The best mutually improving pairing of each absent pair, in pair order.
 
     Best is the lowest delta for ``a``, the lower id, then the lowest
-    (r_a, r_b). ``base`` holds states from ``evaluator.state``, which leaves
-    the balls current. Only the link cost depends on the pairing; a pair
-    that does not improve ``a`` at zero link cost is passed over, and ``b``
+    (r_a, r_b). ``base`` holds states from ``evaluator.states``, which
+    rebuilds the balls. Only the link cost depends on the pairing, and ``b``
     is priced only when ``a`` improves.
     """
     alpha, links, ends, grown = evaluator.cfg.alpha, evaluator.links, evaluator.ends, evaluator.grown
@@ -386,8 +381,6 @@ def _additions(
         a, b = pair
         before_a = base[a]
         at_a, parts_a = grown(a, b)
-        if not _improves(before_a, _state(0.0, *parts_a)):
-            continue
         before_b = base[b]
         ends_a, ends_b = ends[a], ends[b]
         improving, grown_b = [], None
@@ -598,7 +591,7 @@ def _parts_table(
             else:
                 evaluator.remove(pair_order[k])
         evaluator._rebuild()
-        table[subset] = {i: evaluator._parts(row, evaluator.ends[i]) for i, row in evaluator.balls.items()}
+        table[subset] = evaluator.parts
     return table
 
 

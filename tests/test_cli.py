@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import random
+import re
 import tempfile
 from functools import reduce
 from operator import getitem
@@ -352,8 +353,19 @@ def set_at(path, value):
         (set_at(("nodes", 0, "interfaces", 1, "antena_gain"), 2.0), "nodes[0].interfaces[1].antena_gain: unknown field"),
         (set_at(("nodez",), []), "nodez: unknown field"),
         (set_at(("config", "gamma"), 1e308), "config.gamma: gamma * h_max * (nodes - 1) must be finite"),
+        (set_at(("config", "gamma"), 10**400), "config.gamma: number out of range"),
     ],
-    ids=["weight-string", "weight-null", "gain-string", "ic-string", "weight-typo", "gain-typo", "nodez", "gamma-1e308"],
+    ids=[
+        "weight-string",
+        "weight-null",
+        "gain-string",
+        "ic-string",
+        "weight-typo",
+        "gain-typo",
+        "nodez",
+        "gamma-1e308",
+        "gamma-1e400",
+    ],
 )
 def test_bad_scenario_exits_1_with_path(tmp_path, capsys, edit, error):
     document = copy.deepcopy(FIXTURE_DOCUMENT)
@@ -367,6 +379,22 @@ def test_bad_scenario_exits_1_with_path(tmp_path, capsys, edit, error):
 def test_sweep_rejects_overflowing_gamma(capsys):
     assert run_cli("sweep", "--scenario", FIXTURE_570, "--gamma", "1e308") == 1
     assert "error: config.gamma: gamma * h_max * (nodes - 1) must be finite" in capsys.readouterr().err
+
+
+def test_unreadable_scenario_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli("run", "--scenario", str(missing), "--out", str(tmp_path / "o")) == 1
+    assert f"error: cannot read scenario {missing}: " in capsys.readouterr().err
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    assert run_cli("run", "--scenario", str(broken), "--out", str(tmp_path / "o")) == 1
+    assert f"error: cannot read scenario {broken}: " in capsys.readouterr().err
+
+
+def test_check_of_a_missing_topology_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli("check", "--scenario", FIXTURE_570, "--topology", str(missing)) == 1
+    assert f"error: cannot read topology {missing}: " in capsys.readouterr().err
 
 
 def test_check_rejects_unknown_link_key(tmp_path, capsys):
@@ -413,6 +441,20 @@ def test_dot_edge_labels_match_kinds():
     topo = Topology(scenario.nodes, frozenset({Link(0, 1, 4, 0)}))
     dot = topology_to_dot(topo)
     assert '0 -- 4 [label="bluetooth"];' in dot
+
+
+def test_dot_labels_are_escaped():
+    document = copy.deepcopy(FIXTURE_DOCUMENT)
+    for node in document["nodes"]:
+        for iface in node["interfaces"]:
+            if iface["kind"] == "wlan":
+                iface["kind"] = 'wlan "5" \\'
+    scenario = scenario_from_dict(document)
+    assert validate_scenario(scenario.nodes, scenario.config) == []
+    dot = topology_to_dot(best_response_dynamics(scenario)[0])
+    assert '[label="wlan \\"5\\" \\\\"];' in dot
+    edges = [line for line in dot.splitlines() if " -- " in line]
+    assert all(re.fullmatch(r'  \d+ -- \d+ \[label="(?:[^"\\]|\\.)*"\];', line) for line in edges)
 
 
 def test_repeat_runs_byte_identical(tmp_path):
@@ -502,8 +544,17 @@ def swapped(link):
     [
         (lambda links: links + [dict(links[0])], f"links[{len(TOPOLOGY_DOCUMENT['links'])}]: duplicate of links[0]"),
         (lambda links: [links[0], swapped(links[0])], "links[1]: duplicate of links[0]"),
+        (
+            lambda links: links + [dict(links[0], iface_a=1, iface_b=1)],
+            f"link ({TOPOLOGY_DOCUMENT['links'][0]['node_a']}, {TOPOLOGY_DOCUMENT['links'][0]['node_b']}): "
+            "node pair linked more than once",
+        ),
+        (
+            lambda links: [{"node_a": 2, "iface_a": 0, "node_b": 2, "iface_b": 0}],
+            "links[0]: link endpoints must differ, got node 2 twice",
+        ),
     ],
-    ids=["repeated", "swapped"],
+    ids=["repeated", "swapped", "other-interfaces", "self-link"],
 )
 def test_duplicate_link_entry_is_rejected(tmp_path, capsys, links, error):
     topology = tmp_path / "topology.json"
@@ -520,6 +571,8 @@ def test_duplicate_link_entry_is_rejected(tmp_path, capsys, links, error):
         ("570:600:nan", "must be finite"),
         ("700:500:10", "is empty"),
         ("1e17:1e17:1", "too small to advance"),
+        ("500:700", "must be A:B:STEP or a single value"),
+        ("500:700:0", "step must be positive"),
     ],
 )
 def test_bad_gamma_range_is_rejected(text, error):

@@ -158,7 +158,7 @@ def test_parts_table_equals_grown_and_severed():
                     if subset >> k & 1:
                         own = evaluator.ends[i]
                         at = bisect_left(own, (j,))
-                        assert evaluator.severed(i, own[:at] + own[at + 1 :], exact=True) == table[subset ^ 1 << k][i]
+                        assert evaluator.reach(i, own[:at] + own[at + 1 :]) == table[subset ^ 1 << k][i]
                     else:
                         assert evaluator.grown(i, j)[1] == table[subset | 1 << k][i]
 
@@ -189,6 +189,8 @@ def test_states_do_not_depend_on_link_insertion_order():
         for order in (forward, backward):
             evaluator = game._Evaluator(scenario, order)
             states.append([(bits(cost), unreachable) for cost, unreachable in map(evaluator.state, scenario.ids)])
+            rebuilt = evaluator.states()
+            assert states[-1] == [(bits(rebuilt[i][0]), rebuilt[i][1]) for i in scenario.ids]
         assert states[0] == states[1]
 
 

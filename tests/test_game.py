@@ -109,6 +109,14 @@ def test_delta_add_preconditions():
         delta_cost_add(scenario.nodes[0], topo, Link(0, 0, 1, 0), scenario.config)
 
 
+def test_delta_add_of_an_infeasible_link_is_a_value_error():
+    zw = make_iface("zwave", 0.9e9, 4e4, 1e-3, 6.3e-13)
+    a = make_node(0, (0.0, 0.0), (WLAN,), b_min=1e7)
+    b = make_node(1, (10.0, 0.0), (zw,), b_min=5e3)
+    with pytest.raises(ValueError, match="is not physically feasible"):
+        delta_cost_add(a, Topology.empty((a, b)), Link(0, 0, 1, 0), GameConfig(gamma=10.0))
+
+
 def test_delta_add_for_a_node_outside_the_topology_is_a_value_error():
     scenario = ic_trio()
     pair_only = Topology.empty(scenario.nodes[:2])
@@ -187,6 +195,13 @@ def test_propose_add_infeasible_without_common_interface():
     topo = Topology.empty((a, b))
     decision = propose_add(topo, 0, 0, 1, 0, GameConfig(gamma=10.0))
     assert decision == Rejection(kind="infeasible")
+
+
+def test_propose_add_of_a_self_link_or_a_linked_pair_is_infeasible():
+    scenario = ic_trio(gamma=570.0)
+    path = Topology(scenario.nodes, frozenset({Link(0, 0, 1, 0), Link(1, 0, 2, 0)}))
+    assert propose_add(path, 0, 0, 0, 0, scenario.config) == Rejection(kind="infeasible")
+    assert propose_add(path, 1, 0, 0, 0, scenario.config) == Rejection(kind="infeasible")
 
 
 def test_propose_add_symmetric_in_arguments():
