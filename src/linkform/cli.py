@@ -34,7 +34,7 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from . import criteria as criteria_mod
 from .cost import total_cost
@@ -293,14 +293,20 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> bool:
     return True
 
 
-def _load_validated_scenario(path: str) -> Scenario | None:
+def _read_input(what: str, path: str, load: Callable[[str], Any]) -> Any:
+    """``load(path)``, or None after error lines when the file is missing, malformed or invalid."""
     try:
-        scenario = load_scenario(path)
+        return load(path)
     except ScenarioFormatError as exc:
         _fail_issues(exc.issues)
-        return None
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read scenario {path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {what} {path}: {exc}", file=sys.stderr)
+    return None
+
+
+def _load_validated_scenario(path: str) -> Scenario | None:
+    scenario = _read_input("scenario", path, load_scenario)
+    if scenario is None:
         return None
     issues = validate_scenario(scenario.nodes, scenario.config)
     if issues:
@@ -338,12 +344,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     scenario = _load_validated_scenario(args.scenario)
     if scenario is None:
         return 1
-    try:
-        topology = load_topology(args.topology, scenario)
-    except ScenarioFormatError as exc:
-        return _fail_issues(exc.issues)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read topology {args.topology}: {exc}", file=sys.stderr)
+    topology = _read_input("topology", args.topology, lambda path: load_topology(path, scenario))
+    if topology is None:
         return 1
     report = is_pairwise_stable(topology, scenario.config)
     payload = json.dumps(stability_to_dict(report), indent=2, sort_keys=True)
@@ -390,47 +392,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if issues:
         return _fail_issues(issues)
 
-    fieldnames = [
-        "gamma",
-        "seed",
-        "converged",
-        "moves",
-        "clique_criterion",
-        "single_ic_link_criterion",
-        "star_criterion",
-        "ic_clique",
-        "max_ic_links_per_non_ic",
-        "max_non_ic_degree",
-        "relay_count",
-    ]
     try:  # opened before the sweep so that an unwritable path fails fast
         handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     with handle as out:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = None  # the header is the first row's keys
         for swept in sweep:
             report = criteria_mod.criteria_report(swept)
             for seed in range(args.seeds):
                 topology, trace = best_response_dynamics(swept, seed=seed, max_moves=args.max_moves)
                 structure = criteria_mod.check_structure(topology)
-                writer.writerow(
-                    {
-                        "gamma": swept.config.gamma,
-                        "seed": seed,
-                        "converged": trace.converged,
-                        "moves": len(trace.steps),
-                        "clique_criterion": report.clique.holds,
-                        "single_ic_link_criterion": report.single_ic_link.holds,
-                        "star_criterion": report.star.holds,
-                        "ic_clique": structure.ic_clique,
-                        "max_ic_links_per_non_ic": structure.max_ic_links_per_non_ic,
-                        "max_non_ic_degree": structure.max_non_ic_degree,
-                        "relay_count": len(structure.relays),
-                    }
-                )
+                row = {
+                    "gamma": swept.config.gamma,
+                    "seed": seed,
+                    "converged": trace.converged,
+                    "moves": len(trace.steps),
+                    "clique_criterion": report.clique.holds,
+                    "single_ic_link_criterion": report.single_ic_link.holds,
+                    "star_criterion": report.star.holds,
+                    "ic_clique": structure.ic_clique,
+                    "max_ic_links_per_non_ic": structure.max_ic_links_per_non_ic,
+                    "max_non_ic_degree": structure.max_non_ic_degree,
+                    "relay_count": len(structure.relays),
+                }
+                if writer is None:
+                    writer = csv.DictWriter(out, fieldnames=list(row))
+                    writer.writeheader()
+                writer.writerow(row)
     return 0
 
 

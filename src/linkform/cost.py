@@ -21,7 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .model import COST_INF, Cost, GameConfig, InterfaceSpec, Node, Topology, distance_between
+from .model import COST_INF, Cost, GameConfig, Node, Topology, bandwidth_ratio, distance_between
 from .propagation import required_tx_power
 
 
@@ -34,11 +34,6 @@ class CostBreakdown:
     non_ic_distance_term: Cost
     bridging: float
     total: Cost
-
-
-def bandwidth_ratio(interface: InterfaceSpec, node: Node) -> float:
-    """Available-to-required bandwidth ratio of an interface for its owner node."""
-    return interface.max_bitrate_bps / node.min_required_bitrate_bps
 
 
 def minimum_link_power(node_i: Node, r_i: int, node_j: Node, r_j: int, config: GameConfig) -> float:

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
-from .cost import bandwidth_ratio
+from .cost import hop_distances
 from .game import PairingTable, pairing_table
-from .model import Node, Scenario, Topology
+from .model import Node, Scenario, Topology, bandwidth_ratio
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,8 @@ def criteria_report(scenario: Scenario) -> CriteriaReport:
 
 def check_structure(topology: Topology) -> StructureReport:
     """Shape facts: IC completeness, uplink counts, relay nodes, hierarchy depth."""
-    ic_ids = [node.id for node in topology.nodes if node.internet_connected]
+    ic_nodes = [node for node in topology.nodes if node.internet_connected]
+    ic_ids = [node.id for node in ic_nodes]
     non_ic_ids = [node.id for node in topology.nodes if not node.internet_connected]
     ic_set = set(ic_ids)
 
@@ -222,20 +222,13 @@ def check_structure(topology: Topology) -> StructureReport:
         if uplinks == 1 and lateral >= 1:
             relays.append(non_id)
 
-    # multi-source BFS from the IC tier
-    hops: dict[int, int] = {ic_id: 0 for ic_id in ic_ids}
-    frontier: deque[int] = deque(ic_ids)
-    while frontier:
-        current = frontier.popleft()
-        for peer in topology.neighbors(current):
-            if peer not in hops:
-                hops[peer] = hops[current] + 1
-                frontier.append(peer)
-    unattached = tuple(sorted(nid for nid in non_ic_ids if nid not in hops))
+    from_ic = [hop_distances(topology, node) for node in ic_nodes]
+    hops = {nid: min((distances[nid] for distances in from_ic), default=math.inf) for nid in non_ic_ids}
+    unattached = tuple(sorted(nid for nid, hop in hops.items() if math.isinf(hop)))
     if unattached:
         tiers: int | None = None
     elif non_ic_ids:
-        tiers = 1 + max(hops[nid] for nid in non_ic_ids)
+        tiers = 1 + max(hops.values())
     else:
         tiers = 1 if ic_ids else None
 

@@ -29,12 +29,13 @@ from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import (
+    Cost,
     GameConfig,
-    IncomparableCostError,
     Link,
     Node,
     Scenario,
     Topology,
+    bandwidth_ratio,
     distance_between,
     links_digest,
     validate_scenario,
@@ -131,8 +132,7 @@ def _unit(config: GameConfig, owner: Node, r_own: int, peer: Node, r_peer: int) 
     sigma = 0.0 if distance == 0.0 else required_tx_power(iface, other, distance, config)
     if sigma > iface.max_tx_power_w:
         return math.inf, math.inf
-    beta = iface.max_bitrate_bps / owner.min_required_bitrate_bps
-    return sigma, owner.energy_weight * sigma / beta
+    return sigma, owner.energy_weight * sigma / bandwidth_ratio(iface, owner)
 
 
 def _pairing(config: GameConfig, a: Node, r_a: int, b: Node, r_b: int) -> PairingOption:
@@ -144,6 +144,7 @@ def _pairing(config: GameConfig, a: Node, r_a: int, b: Node, r_b: int) -> Pairin
 def pairing_table(scenario: Scenario) -> PairingTable:
     """Feasible interface pairings of every node pair, keyed by (lower id, higher id).
 
+    Feasible means ``link_feasible`` holds; a unit cost may still be inf.
     Options are ordered by (r_a, r_b); pairs with no feasible pairing are absent.
     """
     table: PairingTable = {}
@@ -151,7 +152,7 @@ def pairing_table(scenario: Scenario) -> PairingTable:
         options = []
         for r_a, r_b in itertools.product(range(len(a.interfaces)), range(len(b.interfaces))):
             option = _pairing(scenario.config, a, r_a, b, r_b)
-            if math.isfinite(option.unit_a) and math.isfinite(option.unit_b):
+            if math.isfinite(option.sigma_a) and math.isfinite(option.sigma_b):
                 options.append(option)
         if options:
             table[(a.id, b.id)] = tuple(options)
@@ -411,12 +412,6 @@ def _toggle_states(
     return list(zip(before, [evaluator.state(i) for i in ids]))
 
 
-def _defined_delta(before: State, after: State) -> float:
-    if math.isinf(before[0]) and math.isinf(after[0]):
-        raise IncomparableCostError("both states are disconnected; no defined sign")
-    return after[0] - before[0]
-
-
 def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfig) -> float:
     """Cost change for ``node`` if ``link`` were added; raises when undefined.
 
@@ -432,7 +427,7 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
     ):
         raise ValueError(f"{link} is not physically feasible")
     [(before, after)] = _toggle_states(topology, config, link, (node.id,))
-    return _defined_delta(before, after)
+    return Cost(after[0]).minus(Cost(before[0]))
 
 
 def delta_cost_remove(node: Node, topology: Topology, link: Link, config: GameConfig) -> float:
@@ -442,7 +437,7 @@ def delta_cost_remove(node: Node, topology: Topology, link: Link, config: GameCo
     if not link.touches(node.id):
         raise ValueError(f"node {node.id} is not an endpoint of {link}")
     [(before, after)] = _toggle_states(topology, config, link, (node.id,))
-    return _defined_delta(before, after)
+    return Cost(after[0]).minus(Cost(before[0]))
 
 
 def propose_add(
@@ -481,8 +476,9 @@ def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityRepor
     Severances are reported by link, then endpoint; additions by pair, each
     with its best pairing.
     """
-    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
-    pairings = pairing_table(Scenario(topology.nodes, config))
+    scenario = Scenario(topology.nodes, config)
+    evaluator = _Evaluator(scenario, topology.links)
+    pairings = pairing_table(scenario)
     base = evaluator.states()
     severance = sorted(
         ((move.initiator, move.link) for move in _severances(evaluator, base, evaluator.ids)),

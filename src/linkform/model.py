@@ -101,6 +101,11 @@ class Node:
         return self.interfaces[index]
 
 
+def bandwidth_ratio(interface: InterfaceSpec, node: Node) -> float:
+    """Available-to-required bandwidth ratio of an interface for its owner node."""
+    return interface.max_bitrate_bps / node.min_required_bitrate_bps
+
+
 def distance_between(a: Node, b: Node) -> float:
     """Euclidean distance in meters between two node positions."""
     return math.dist(a.position, b.position)
@@ -216,9 +221,7 @@ class Topology:
 
     def with_link(self, link: Link) -> Topology:
         for endpoint, iface in ((link.node_a, link.iface_a), (link.node_b, link.iface_b)):
-            node = self.node(endpoint)
-            if not 0 <= iface < len(node.interfaces):
-                raise ValueError(f"node {endpoint} has no interface {iface}")
+            self.node(endpoint).interface(iface)
         if self.has_pair(link.node_a, link.node_b):
             raise ValueError(f"pair {link.pair} already linked; one link per node pair")
         return Topology(self.nodes, self.links | {link})
@@ -368,6 +371,10 @@ def validate_scenario(nodes: Iterable[Node], config: GameConfig) -> list[Validat
                             f"must be positive, got {getattr(iface, field_name)!r}",
                         )
                     )
+            if _positive(iface.max_bitrate_bps) and _positive(node.min_required_bitrate_bps):
+                if bandwidth_ratio(iface, node) == 0.0:
+                    message = "ratio to min_required_bitrate_bps underflows to 0"
+                    issues.append(ValidationIssue(f"{iface_where}.max_bitrate_bps", message))
             if _positive(iface.rx_sensitivity_w) and _positive(iface.max_tx_power_w):
                 if not iface.rx_sensitivity_w < iface.max_tx_power_w:
                     issues.append(

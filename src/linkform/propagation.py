@@ -25,8 +25,9 @@ def required_tx_power(
     """Minimum power (watts) the ``tx`` interface must emit for ``rx`` to decode.
 
     Non-decreasing in distance, and ``math.inf`` once the path loss overflows a
-    float; for path distances beyond one wavelength fraction (4*pi*d*f/c > 1)
-    also increasing in the path-loss exponent.
+    float or the antenna gain product underflows to 0; for path distances
+    beyond one wavelength fraction (4*pi*d*f/c > 1) also increasing in the
+    path-loss exponent.
     """
     if tx.kind != rx.kind:
         raise ValueError(f"interface kinds differ: {tx.kind!r} vs {rx.kind!r}")
@@ -39,7 +40,10 @@ def required_tx_power(
         path_loss = ratio**config.path_loss_exponent
     except OverflowError:
         return math.inf  # beyond any float budget, so no finite power suffices
-    return rx.rx_sensitivity_w * path_loss / (tx.antenna_gain * rx.antenna_gain)
+    gains = tx.antenna_gain * rx.antenna_gain
+    if gains == 0.0:
+        return math.inf
+    return rx.rx_sensitivity_w * path_loss / gains
 
 
 def link_feasible(node_i: Node, r_i: int, node_j: Node, r_j: int, config: GameConfig) -> bool:

@@ -354,6 +354,12 @@ def set_at(path, value):
         (set_at(("nodez",), []), "nodez: unknown field"),
         (set_at(("config", "gamma"), 1e308), "config.gamma: gamma * h_max * (nodes - 1) must be finite"),
         (set_at(("config", "gamma"), 10**400), "config.gamma: number out of range"),
+        (set_at(("config", "h_max"), 10**400), "config.gamma: gamma * h_max * (nodes - 1) must be finite"),
+        (set_at(("config", "alpha"), 0), "config.alpha: must be positive, got 0.0"),
+        (set_at(("config", "h_max"), 0), "config.h_max: must be a positive integer, got 0"),
+        (set_at(("config", "path_loss_exponent"), 1.5), "config.path_loss_exponent: must be >= 2, got 1.5"),
+        (set_at(("nodes", 3, "position", 0), float("nan")), "node 3.position: must be a finite (x, y) pair"),
+        (set_at(("nodes", 0, "interfaces", 1, "kind"), ""), "node 0.interfaces[1].kind: must be a non-empty string"),
     ],
     ids=[
         "weight-string",
@@ -365,6 +371,12 @@ def set_at(path, value):
         "nodez",
         "gamma-1e308",
         "gamma-1e400",
+        "h_max-1e400",
+        "alpha-0",
+        "h_max-0",
+        "exponent-1.5",
+        "position-nan",
+        "kind-empty",
     ],
 )
 def test_bad_scenario_exits_1_with_path(tmp_path, capsys, edit, error):
@@ -374,6 +386,43 @@ def test_bad_scenario_exits_1_with_path(tmp_path, capsys, edit, error):
     scenario.write_text(json.dumps(document))
     assert run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path / "o")) == 1
     assert f"error: {error}" in capsys.readouterr().err
+
+
+def edit_nodes(node_ids, iface_fields, **node_fields):
+    def edit(document):
+        for node in document["nodes"]:
+            if node["id"] in node_ids:
+                node.update(node_fields)
+                for iface in node["interfaces"]:
+                    iface.update(iface_fields)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, code, errors",
+    [
+        (
+            edit_nodes({0}, {"max_bitrate_bps": 1e-300}, min_required_bitrate_bps=1e300),
+            1,
+            [
+                f"error: node 0.interfaces[{k}].max_bitrate_bps: ratio to min_required_bitrate_bps underflows to 0"
+                for k in range(3)
+            ],
+        ),
+        (edit_nodes({0, 1}, {"antenna_gain": 1e-200}), 0, []),
+    ],
+    ids=["bandwidth-ratio", "gain-product"],
+)
+def test_underflowing_valid_numbers_end_without_a_traceback(tmp_path, capsys, edit, code, errors):
+    document = copy.deepcopy(FIXTURE_DOCUMENT)
+    edit(document)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(document))
+    assert run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path / "o")) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == errors
 
 
 def test_sweep_rejects_overflowing_gamma(capsys):
@@ -389,6 +438,12 @@ def test_unreadable_scenario_exits_1(tmp_path, capsys):
     broken.write_text("{not json")
     assert run_cli("run", "--scenario", str(broken), "--out", str(tmp_path / "o")) == 1
     assert f"error: cannot read scenario {broken}: " in capsys.readouterr().err
+
+
+def test_sweep_of_an_unreadable_scenario_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli("sweep", "--scenario", str(missing), "--gamma", "570") == 1
+    assert f"error: cannot read scenario {missing}: " in capsys.readouterr().err
 
 
 def test_check_of_a_missing_topology_exits_1(tmp_path, capsys):

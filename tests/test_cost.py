@@ -8,6 +8,7 @@ from linkform.cost import (
     bridging_coefficient,
     hop_distances,
     link_cost_sum,
+    minimum_link_power,
     total_cost,
 )
 from linkform.game import _Evaluator
@@ -84,6 +85,11 @@ def test_link_cost_missing_interface_is_domain_error():
     broken = Topology(nodes, frozenset({Link(0, 2, 1, 0)}))
     with pytest.raises(ValueError):
         link_cost_sum(nodes[0], broken, CFG)
+
+
+def test_co_located_nodes_need_no_power():
+    a, b = make_node(0, (3.0, 4.0), (WLAN,)), make_node(1, (3.0, 4.0), (WLAN,))
+    assert minimum_link_power(a, 0, b, 0, CFG) == 0.0
 
 
 def test_overbudget_link_is_infinite():
@@ -184,6 +190,12 @@ def test_hop_distances_cases():
     split = chain(nodes, [(0, 1)])
     assert hop_distances(split, nodes[0])[2] == math.inf
     assert hop_distances(split, nodes[2])[0] == math.inf
+
+
+def test_hop_distances_of_an_unknown_node_is_a_value_error():
+    nodes = tuple(make_node(i, (i * 5.0, 0)) for i in range(2))
+    with pytest.raises(ValueError, match="node 7 not in topology"):
+        hop_distances(chain(nodes, [(0, 1)]), make_node(7, (0, 0)))
 
 
 # -- total cost -------------------------------------------------------------------

@@ -27,10 +27,18 @@ from linkform.model import (
     Link,
     Scenario,
     Topology,
+    validate_scenario,
 )
 
 from conftest import WLAN, make_iface, make_node
-from generators import feasible_pairings, free_scenario
+from generators import (
+    clique_suite_scenario,
+    feasible_pairings,
+    fixture_sample_scenario,
+    free_scenario,
+    random_graph_scenario,
+    uplink_suite_scenario,
+)
 from oracles import improves_naive, node_state_naive, resolved_delta_naive, stability_oracle
 
 MESH = make_iface("mesh", 1.0e9, 1.0e6, 1.0, 1e-9)
@@ -267,6 +275,43 @@ def test_an_interface_index_out_of_range_is_a_value_error(iface):
         total_cost(scenario.nodes[0], topology, scenario.config)
     with pytest.raises(ValueError, match=message):
         is_pairwise_stable(topology, scenario.config)
+
+
+def overflowing_unit_scenario():
+    """Two IC nodes 10 km apart whose one pairing fits both power budgets, though node 0's unit cost is inf."""
+    radio = make_iface("lr", 1.0e9, 1.0e5, 1.0e12, 1.0e-3)
+    nodes = (
+        make_node(0, (0.0, 0.0), (radio,), b_min=1.0e6, rho=1.0e300, ic=True),
+        make_node(1, (1.0e4, 0.0), (radio,), b_min=1.0e6, ic=True),
+    )
+    return Scenario(nodes, GameConfig(gamma=10.0))
+
+
+def test_a_feasible_pairing_with_an_infinite_unit_cost_is_a_candidate():
+    scenario = overflowing_unit_scenario()
+    assert validate_scenario(scenario.nodes, scenario.config) == []
+    empty, link = Topology.empty(scenario.nodes), Link(0, 0, 1, 0)
+    assert propose_add(empty, 0, 0, 1, 0, scenario.config) == Add(link, -math.inf, -math.inf)
+    assert stability_oracle(empty, scenario.config) == (False, set(), {link})
+    assert is_pairwise_stable(empty, scenario.config).addition_violations == (link,)
+    assert {topology.links for topology in brute_force_stable_set(scenario)} == {frozenset({link})}
+    topology, trace = best_response_dynamics(scenario)
+    assert trace.converged and [step.move.link for step in trace.steps] == [link]
+    assert total_cost(scenario.nodes[0], topology, scenario.config).total.value == math.inf
+
+
+def test_pairing_table_holds_exactly_the_feasible_pairings():
+    scenarios = [
+        overflowing_unit_scenario(),
+        *(free_scenario(seed, max_nodes=6) for seed in range(12)),
+        *(clique_suite_scenario(seed) for seed in range(4)),
+        *(uplink_suite_scenario(seed, lateral) for seed in range(2) for lateral in ("none", "one-cheap")),
+        *(fixture_sample_scenario(seed)[0] for seed in range(4)),
+        *(random_graph_scenario(seed)[0] for seed in range(4)),
+    ]
+    for scenario in scenarios:
+        table = {pair: [option[:2] for option in options] for pair, options in game.pairing_table(scenario).items()}
+        assert table == feasible_pairings(scenario)
 
 
 # -- dynamics ----------------------------------------------------------------------

@@ -59,6 +59,12 @@ def test_cost_rejects_negative_and_nan():
         Cost.finite(math.inf)
 
 
+def test_finite_cost_of_an_integer_is_a_float():
+    cost = Cost.finite(3)
+    assert cost == Cost(3.0)
+    assert type(cost.value) is float
+
+
 # -- Link ------------------------------------------------------------------------
 
 
@@ -84,6 +90,14 @@ def test_link_accessors():
     assert link.peer_of(1) == 3
     with pytest.raises(ValueError):
         link.interface_for(9)
+
+
+def test_unknown_ids_are_value_errors():
+    with pytest.raises(ValueError, match="node 9 is not an endpoint of"):
+        Link(1, 2, 3, 4).peer_of(9)
+    scenario = Scenario((make_node(0, (0, 0)),), GameConfig(gamma=10.0))
+    with pytest.raises(ValueError, match="unknown node id 9"):
+        scenario.node(9)
 
 
 # -- Topology ---------------------------------------------------------------------
@@ -114,6 +128,16 @@ def test_topology_without_link_roundtrip():
         Topology.empty(nodes).without_link(link)
 
 
+@pytest.mark.parametrize(
+    "link, message",
+    [(Link(0, 3, 1, 0), "node 0 has no interface 3"), (Link(0, 0, 1, -1), "node 1 has no interface -1")],
+)
+def test_with_link_rejects_an_interface_out_of_range(link, message):
+    nodes = (make_node(0, (0, 0)), make_node(1, (5, 0)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Topology.empty(nodes).with_link(link)
+
+
 def test_validate_topology_flags_mismatches():
     nodes = (
         make_node(0, (0, 0), (WLAN,)),
@@ -125,6 +149,12 @@ def test_validate_topology_flags_mismatches():
 
     bad_iface = Topology(nodes, frozenset({Link(0, 3, 1, 0)}))
     assert any("no interface 3" in issue.message for issue in validate_topology(bad_iface))
+
+
+def test_validate_topology_flags_a_frequency_mismatch():
+    nodes = (make_node(0, (0, 0), (WLAN,)), make_node(1, (5, 0), (make_iface("wlan", 5.0e9, 300e6, 1.0, 1e-11),)))
+    issues = validate_topology(Topology(nodes, frozenset({Link(0, 0, 1, 0)})))
+    assert [str(issue) for issue in issues] == ["link (0, 1): frequencies differ: 2400000000.0 Hz vs 5000000000.0 Hz"]
 
 
 def test_links_digest_order_independent():

@@ -71,6 +71,14 @@ def test_overflowing_path_loss_needs_infinite_power():
     assert not link_feasible(a, 0, b, 0, CFG)
 
 
+def test_underflowing_antenna_gains_need_infinite_power():
+    faint = make_iface("wlan", 2.4e9, 300e6, 1.0, 1e-11, gain=1e-200)
+    assert required_tx_power(faint, faint, 10.0, CFG) == math.inf
+    a = make_node(0, (0.0, 0.0), (faint,), b_min=1e7)
+    b = make_node(1, (10.0, 0.0), (faint,), b_min=1e7)
+    assert not link_feasible(a, 0, b, 0, CFG)
+
+
 def test_link_feasible_table_values():
     a = make_node(0, (0.0, 0.0), (WLAN,), b_min=1e7)
     b = make_node(1, (10.0, 0.0), (WLAN,), b_min=1e7)
