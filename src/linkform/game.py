@@ -272,21 +272,6 @@ class _Evaluator:
         trial = [*own[:at], (b, 0, 0.0), *own[at:]]
         return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], trial, b)
 
-    def bound(self, i: int, rest: Ends) -> Parts:
-        """A lower bound on ``i``'s parts once a link is cut, leaving it ``rest``.
-
-        It grows i's balls from its other neighbours' current balls, which
-        may still reach through the cut link, so it can only reject.
-        """
-        ball = self.bit[i]
-        row = [ball]
-        if rest:
-            union = self.balls[rest[0][0]][:-1]
-            for j, _, _ in rest[1:]:
-                union = list(map(or_, union, self.balls[j]))
-            row += map(ball.__or__, union)
-        return self._parts(row, rest)
-
     def reach(self, i: int, own: Ends) -> Parts:
         """``i``'s parts with link ends ``own``, by a bitset BFS over the other nodes' current ends."""
         ball = self.bit[i]
@@ -342,15 +327,18 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
 
     Scans the nodes in ``node_order``, each against its peers in ascending id
     order. ``base`` holds states from ``evaluator.states``, which rebuilds
-    the balls. Only a severance the bound passes gets an exact BFS.
+    the balls. A cut of i-p is first priced on i's current balls with ``p``
+    taken out of ``B_1`` only. Every ball after the cut lies inside these,
+    so the price is a lower bound and can only reject; only a severance it
+    does not reject gets an exact BFS.
     """
-    alpha, bound, reach = evaluator.cfg.alpha, evaluator.bound, evaluator.reach
+    alpha, bit, parts, reach = evaluator.cfg.alpha, evaluator.bit, evaluator._parts, evaluator.reach
     for i in node_order:
-        own = evaluator.ends[i]
+        own, row = evaluator.ends[i], evaluator.balls[i]
         before = base[i]
         for at, (peer, _, _) in enumerate(own):
             rest = own[:at] + own[at + 1 :]
-            lower = bound(i, rest)
+            lower = parts([row[0], row[1] ^ bit[peer], *row[2:]], rest)
             if not _improves(before, _state(0.0, *lower)):  # passed over at zero link cost
                 continue
             link_cost = _link_cost(alpha, rest)
@@ -470,13 +458,21 @@ def propose_add(
     )
 
 
+def _require_valid(scenario: Scenario) -> None:
+    """Raise ``ValueError`` naming every issue ``validate_scenario`` finds."""
+    issues = validate_scenario(scenario.nodes, scenario.config)
+    if issues:
+        raise ValueError("; ".join(str(issue) for issue in issues))
+
+
 def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityReport:
     """Full deviation scan: every severance incidence, every absent feasible pairing.
 
     Severances are reported by link, then endpoint; additions by pair, each
-    with its best pairing.
+    with its best pairing. Raises ValueError when the scenario is invalid.
     """
     scenario = Scenario(topology.nodes, config)
+    _require_valid(scenario)
     evaluator = _Evaluator(scenario, topology.links)
     pairings = pairing_table(scenario)
     base = evaluator.states()
@@ -510,9 +506,7 @@ def best_response_dynamics(
     repeating those steps, byte for byte what scanning them would give. A
     repeated topology hash is confirmed link by link before it counts.
     """
-    issues = validate_scenario(scenario.nodes, scenario.config)
-    if issues:
-        raise ValueError("; ".join(str(issue) for issue in issues))
+    _require_valid(scenario)
     evaluator = _Evaluator(scenario)
     pairings = pairing_table(scenario)
     node_order = list(evaluator.ids)

@@ -297,10 +297,10 @@ class ValidationIssue:
 
 
 def _positive(value: object) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    return isinstance(value, (int, float)) and _finite(value) and value > 0
 
 
-def _finite_product(*factors: float) -> bool:
+def _finite(*factors: float) -> bool:
     """True when ``factors`` multiply to a finite float; False also when an int factor exceeds the float range."""
     try:
         return math.isfinite(math.prod(factors))
@@ -316,7 +316,7 @@ def validate_scenario(nodes: Iterable[Node], config: GameConfig) -> list[Validat
     if config.gamma is None or not isinstance(config.gamma, (int, float)) or not config.gamma >= 1:
         issues.append(ValidationIssue("config.gamma", f"must be >= 1, got {config.gamma!r}"))
     # the internet-connected distance term sums at most n - 1 hop counts of at most h_max each
-    elif isinstance(config.h_max, int) and not _finite_product(config.gamma, config.h_max, len(node_list) - 1):
+    elif isinstance(config.h_max, int) and not _finite(config.gamma, config.h_max, len(node_list) - 1):
         issues.append(
             ValidationIssue("config.gamma", f"gamma * h_max * (nodes - 1) must be finite, got gamma {config.gamma!r}")
         )
@@ -339,7 +339,7 @@ def validate_scenario(nodes: Iterable[Node], config: GameConfig) -> list[Validat
             issues.append(ValidationIssue(where, "duplicate node id"))
         seen_ids.add(node.id)
         if len(node.position) != 2 or not all(
-            isinstance(c, (int, float)) and math.isfinite(c) for c in node.position
+            isinstance(c, (int, float)) and _finite(c) for c in node.position
         ):
             issues.append(ValidationIssue(f"{where}.position", f"must be a finite (x, y) pair, got {node.position!r}"))
         if not node.interfaces:
@@ -372,8 +372,10 @@ def validate_scenario(nodes: Iterable[Node], config: GameConfig) -> list[Validat
                         )
                     )
             if _positive(iface.max_bitrate_bps) and _positive(node.min_required_bitrate_bps):
-                if bandwidth_ratio(iface, node) == 0.0:
-                    message = "ratio to min_required_bitrate_bps underflows to 0"
+                ratio = bandwidth_ratio(iface, node)
+                if ratio == 0.0 or math.isinf(ratio):
+                    limit = "underflows to 0" if ratio == 0.0 else "overflows to inf"
+                    message = f"ratio to min_required_bitrate_bps {limit}"
                     issues.append(ValidationIssue(f"{iface_where}.max_bitrate_bps", message))
             if _positive(iface.rx_sensitivity_w) and _positive(iface.max_tx_power_w):
                 if not iface.rx_sensitivity_w < iface.max_tx_power_w:

@@ -411,8 +411,16 @@ def edit_nodes(node_ids, iface_fields, **node_fields):
             ],
         ),
         (edit_nodes({0, 1}, {"antenna_gain": 1e-200}), 0, []),
+        (
+            edit_nodes({0}, {"max_bitrate_bps": 1e300}, min_required_bitrate_bps=1e-300),
+            1,
+            [
+                f"error: node 0.interfaces[{k}].max_bitrate_bps: ratio to min_required_bitrate_bps overflows to inf"
+                for k in range(3)
+            ],
+        ),
     ],
-    ids=["bandwidth-ratio", "gain-product"],
+    ids=["bandwidth-ratio", "gain-product", "bandwidth-ratio-overflow"],
 )
 def test_underflowing_valid_numbers_end_without_a_traceback(tmp_path, capsys, edit, code, errors):
     document = copy.deepcopy(FIXTURE_DOCUMENT)

@@ -163,6 +163,16 @@ def test_parts_table_equals_grown_and_severed():
                         assert evaluator.grown(i, j)[1] == table[subset | 1 << k][i]
 
 
+def test_stability_equals_oracle_at_small_hop_caps():
+    # at h_max 1 and 2 every ball row has only 2 or 3 levels
+    for seed in range(30):
+        scenario = fixture_sample_scenario(seed)[0]
+        rng = random.Random(seed)
+        for topology in [random_topology(scenario, rng) for _ in range(4)]:
+            for h_max in (1, 2):
+                assert_matches_oracle(topology, dataclasses.replace(scenario.config, h_max=h_max))
+
+
 # -- summation order -----------------------------------------------------------------
 
 

@@ -266,6 +266,16 @@ def test_stability_matches_oracle_on_examples():
         assert set(report.addition_violations) == additions
 
 
+@pytest.mark.parametrize("h_max", [0, -1])
+def test_stability_rejects_a_hop_cap_below_1(h_max):
+    nodes = ic_trio().nodes
+    config = GameConfig(gamma=570.0, h_max=h_max)
+    with pytest.raises(ValueError, match=f"config.h_max: must be a positive integer, got {h_max}"):
+        is_pairwise_stable(Topology(nodes, frozenset({Link(0, 0, 1, 0)})), config)
+    with pytest.raises(ValueError, match=f"config.h_max: must be a positive integer, got {h_max}"):
+        best_response_dynamics(Scenario(nodes, config))
+
+
 @pytest.mark.parametrize("iface", [-1, 1])  # every node of the trio has one interface
 def test_an_interface_index_out_of_range_is_a_value_error(iface):
     scenario = ic_trio()

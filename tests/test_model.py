@@ -196,6 +196,33 @@ def test_validate_scenario_missing_interfaces():
     assert any("at least one interface" in issue.message for issue in issues)
 
 
+def test_validate_scenario_reports_ints_beyond_the_float_range():
+    huge = 10**400
+    cases = [
+        (make_node(0, (0.0, 0.0), b_min=huge), "node 0.min_required_bitrate_bps"),
+        (make_node(0, (0.0, 0.0), rho=huge), "node 0.energy_weight"),
+        (make_node(0, (huge, 0.0)), "node 0.position"),
+        (make_node(0, (0.0, 0.0), (make_iface(bitrate=huge),)), "node 0.interfaces[0].max_bitrate_bps"),
+    ]
+    for node, location in cases:
+        assert [issue.location for issue in validate_scenario([node], GameConfig(gamma=10.0))] == [location]
+    issues = validate_scenario([make_node(0, (0.0, 0.0))], GameConfig(gamma=10.0, alpha=huge))
+    assert [issue.location for issue in issues] == ["config.alpha"]
+
+
+def test_validate_scenario_rejects_an_overflowing_bandwidth_ratio():
+    # rho * sigma and the ratio would both be inf, so node 0's unit cost would be inf / inf = NaN
+    radio = make_iface("lr", 1.0e9, 1.0e300, 1.0e12, 1.0e-3)
+    nodes = [
+        make_node(0, (0.0, 0.0), (radio,), b_min=1.0e-300, rho=1.0e301, ic=True),
+        make_node(1, (1.0e4, 0.0), (radio,), b_min=1.0e-300, ic=True),
+    ]
+    issues = validate_scenario(nodes, GameConfig(gamma=10.0))
+    assert [str(issue) for issue in issues] == [
+        f"node {i}.interfaces[0].max_bitrate_bps: ratio to min_required_bitrate_bps overflows to inf" for i in (0, 1)
+    ]
+
+
 def test_scenario_sorts_and_partitions():
     nodes = (make_node(3, (0, 0), ic=True), make_node(1, (1, 1)), make_node(2, (2, 2), ic=True))
     scenario = Scenario(nodes, GameConfig(gamma=2.0))
