@@ -73,6 +73,8 @@ def _side_costs(
     """(owner-side cost, r_owner, r_peer) for every feasible pairing, ordered by (r_owner, r_peer).
 
     The clique criterion reports the first of tied worst pairings in this order.
+    A co-located pairing (sigma 0) costs 0, even where ``alpha * congestion * rho``
+    overflows to inf.
     """
     cfg = scenario.config
     low = owner.id < peer.id
@@ -83,7 +85,8 @@ def _side_costs(
         else:
             r_own, r_peer, sigma_own = option.r_b, option.r_a, option.sigma_b
         beta = bandwidth_ratio(owner.interfaces[r_own], owner)
-        costs.append((cfg.alpha * congestion * owner.energy_weight * sigma_own / beta, r_own, r_peer))
+        cost = cfg.alpha * congestion * owner.energy_weight * sigma_own / beta if sigma_own else 0.0
+        costs.append((cost, r_own, r_peer))
     costs.sort(key=itemgetter(1, 2))
     return costs
 
@@ -98,35 +101,20 @@ def _clique_witnesses(scenario: Scenario, pairings: PairingTable) -> list[Witnes
     congestion = max(1, len(ic_nodes) - 1)
     witnesses: list[Witness] = []
     for a, b in itertools.combinations(ic_nodes, 2):
-        worst = -math.inf
-        best = math.inf
-        detail = ""
-        feasible = False
-        for owner, peer in ((a, b), (b, a)):
-            for unit, r_own, r_peer in _side_costs(scenario, pairings, owner, peer, congestion):
-                feasible = True
-                best = min(best, unit)
-                if unit > worst:
-                    worst = unit
-                    detail = f"worst pairing ({r_own}, {r_peer}) on node {owner.id}'s side"
-        if not feasible:
+        sides = [
+            (cost, owner.id, r_own, r_peer)
+            for owner, peer in ((a, b), (b, a))
+            for cost, r_own, r_peer in _side_costs(scenario, pairings, owner, peer, congestion)
+        ]
+        if not sides:
             witnesses.append(
-                Witness(
-                    nodes=(a.id, b.id),
-                    cost=math.inf,
-                    threshold=threshold,
-                    note="no feasible interface pairing",
-                )
+                Witness(nodes=(a.id, b.id), cost=math.inf, threshold=threshold, note="no feasible interface pairing")
             )
-        elif not worst < threshold:
-            witnesses.append(
-                Witness(
-                    nodes=(a.id, b.id),
-                    cost=worst,
-                    threshold=threshold,
-                    note=f"{detail}; best pairing cost {best:.6g}",
-                )
-            )
+            continue
+        worst, owner_id, r_own, r_peer = max(sides, key=itemgetter(0))  # the first of tied worst pairings
+        if not worst < threshold:
+            note = f"worst pairing ({r_own}, {r_peer}) on node {owner_id}'s side; best pairing cost {min(sides)[0]:.6g}"
+            witnesses.append(Witness(nodes=(a.id, b.id), cost=worst, threshold=threshold, note=note))
     return witnesses
 
 
@@ -185,6 +173,7 @@ CRITERIA_NOTES = (
 
 
 def criteria_report(scenario: Scenario) -> CriteriaReport:
+    """All three criteria; raises ValueError when the scenario is invalid (``pairing_table`` checks it)."""
     pairings = pairing_table(scenario)
     clique = _clique_witnesses(scenario, pairings)
     uplinks = itertools.product(scenario.ic_ids, scenario.non_ic_ids)
@@ -201,14 +190,10 @@ def criteria_report(scenario: Scenario) -> CriteriaReport:
 
 def check_structure(topology: Topology) -> StructureReport:
     """Shape facts: IC completeness, uplink counts, relay nodes, hierarchy depth."""
-    ic_nodes = [node for node in topology.nodes if node.internet_connected]
-    ic_ids = [node.id for node in ic_nodes]
-    non_ic_ids = [node.id for node in topology.nodes if not node.internet_connected]
+    ic_ids, non_ic_ids = topology.ic_ids, topology.non_ic_ids
     ic_set = set(ic_ids)
 
-    missing = [
-        (a, b) for a, b in itertools.combinations(sorted(ic_ids), 2) if not topology.has_pair(a, b)
-    ]
+    missing = [(a, b) for a, b in itertools.combinations(ic_ids, 2) if not topology.has_pair(a, b)]
 
     max_uplinks = 0
     max_degree = 0
@@ -222,7 +207,7 @@ def check_structure(topology: Topology) -> StructureReport:
         if uplinks == 1 and lateral >= 1:
             relays.append(non_id)
 
-    from_ic = [hop_distances(topology, node) for node in ic_nodes]
+    from_ic = [hop_distances(topology, topology.node(i)) for i in ic_ids]
     hops = {nid: min((distances[nid] for distances in from_ic), default=math.inf) for nid in non_ic_ids}
     unattached = tuple(sorted(nid for nid, hop in hops.items() if math.isinf(hop)))
     if unattached:

@@ -146,7 +146,12 @@ def pairing_table(scenario: Scenario) -> PairingTable:
 
     Feasible means ``link_feasible`` holds; a unit cost may still be inf.
     Options are ordered by (r_a, r_b); pairs with no feasible pairing are absent.
+    Raises ``ValueError`` naming every issue when ``validate_scenario`` rejects
+    the scenario, so every scenario-level entry point checks it here.
     """
+    issues = validate_scenario(scenario.nodes, scenario.config)
+    if issues:
+        raise ValueError("; ".join(str(issue) for issue in issues))
     table: PairingTable = {}
     for a, b in itertools.combinations(scenario.nodes, 2):
         options = []
@@ -204,11 +209,12 @@ class _Evaluator:
         del self.ends[b][bisect_left(self.ends[b], (a,))]
         del self.links[pair]
 
-    def apply(self, move: Move) -> None:
-        if isinstance(move, Remove):
-            self.remove(move.link.pair)
+    def toggle(self, link: Link) -> None:
+        """Sever ``link``'s pair if it is linked, else place ``link``."""
+        if link.pair in self.links:
+            self.remove(link.pair)
         else:
-            self.place_link(move.link)
+            self.place_link(link)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -393,10 +399,7 @@ def _toggle_states(
     """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added."""
     evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     before = [evaluator.state(i) for i in ids]
-    if link in topology.links:
-        evaluator.remove(link.pair)
-    else:
-        evaluator.place_link(link)
+    evaluator.toggle(link)
     return list(zip(before, [evaluator.state(i) for i in ids]))
 
 
@@ -458,23 +461,16 @@ def propose_add(
     )
 
 
-def _require_valid(scenario: Scenario) -> None:
-    """Raise ``ValueError`` naming every issue ``validate_scenario`` finds."""
-    issues = validate_scenario(scenario.nodes, scenario.config)
-    if issues:
-        raise ValueError("; ".join(str(issue) for issue in issues))
-
-
 def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityReport:
     """Full deviation scan: every severance incidence, every absent feasible pairing.
 
     Severances are reported by link, then endpoint; additions by pair, each
-    with its best pairing. Raises ValueError when the scenario is invalid.
+    with its best pairing. Raises ValueError when the scenario is invalid:
+    ``pairing_table`` checks it before the evaluator is built.
     """
     scenario = Scenario(topology.nodes, config)
-    _require_valid(scenario)
-    evaluator = _Evaluator(scenario, topology.links)
     pairings = pairing_table(scenario)
+    evaluator = _Evaluator(scenario, topology.links)
     base = evaluator.states()
     severance = sorted(
         ((move.initiator, move.link) for move in _severances(evaluator, base, evaluator.ids)),
@@ -505,10 +501,11 @@ def best_response_dynamics(
     the moves since then forever. It is completed to ``max_moves`` by
     repeating those steps, byte for byte what scanning them would give. A
     repeated topology hash is confirmed link by link before it counts.
+    Raises ValueError when the scenario is invalid: ``pairing_table`` checks
+    it before the evaluator is built.
     """
-    _require_valid(scenario)
-    evaluator = _Evaluator(scenario)
     pairings = pairing_table(scenario)
+    evaluator = _Evaluator(scenario)
     node_order = list(evaluator.ids)
     pair_order = sorted(pairings)
     if seed != 0:
@@ -529,7 +526,7 @@ def best_response_dynamics(
         if move is None:
             converged = True
             break
-        evaluator.apply(move)
+        evaluator.toggle(move.link)
         base = evaluator.states()
         digest = links_digest(evaluator.links.values())
         steps.append(TraceStep(move=move, topology_hash=digest, costs=tuple((i, state[0]) for i, state in base.items())))
@@ -542,7 +539,7 @@ def best_response_dynamics(
                 cycle, left = steps[start:], max_moves - len(steps)
                 steps += itertools.islice(itertools.cycle(cycle), left)
                 for step in cycle[: left % len(cycle)]:
-                    evaluator.apply(step.move)
+                    evaluator.toggle(step.move.link)
                 break
     topology = Topology(scenario.nodes, frozenset(evaluator.links.values()))
     return topology, DynamicsTrace(seed=seed, steps=tuple(steps), converged=converged)
@@ -594,7 +591,8 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     A node's verdicts at S are priced once per pairing combination of its
     own links. S is skipped when an absent pair improves both endpoints at
     every pair of their combinations. Refuses scenarios larger than
-    ``max_nodes``: the table grows as 2^pairs.
+    ``max_nodes``: the table grows as 2^pairs. Raises ValueError when the
+    scenario is invalid: ``pairing_table`` checks it.
     """
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")

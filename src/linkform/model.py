@@ -166,27 +166,54 @@ def links_digest(links: Iterable[Link]) -> str:
 
 
 @dataclass(frozen=True)
-class Topology:
+class _NodeSet:
+    """Nodes sorted by id, with the id lookup and the internet-connected (IC) classes."""
+
+    nodes: tuple[Node, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id)))
+
+    @cached_property
+    def node_map(self) -> dict[int, Node]:
+        return {node.id: node for node in self.nodes}
+
+    @cached_property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(node.id for node in self.nodes)
+
+    @cached_property
+    def ic_ids(self) -> tuple[int, ...]:
+        return tuple(node.id for node in self.nodes if node.internet_connected)
+
+    @cached_property
+    def non_ic_ids(self) -> tuple[int, ...]:
+        return tuple(node.id for node in self.nodes if not node.internet_connected)
+
+    def node(self, node_id: int) -> Node:
+        try:
+            return self.node_map[node_id]
+        except KeyError:
+            raise ValueError(f"unknown node id {node_id}") from None
+
+
+@dataclass(frozen=True)
+class Topology(_NodeSet):
     """An immutable link graph over a fixed node set.
 
     Mutation is modeled by producing a new topology (:meth:`with_link`,
     :meth:`without_link`), so values can be shared freely across threads.
     """
 
-    nodes: tuple[Node, ...]
     links: frozenset[Link]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id)))
+        super().__post_init__()
         object.__setattr__(self, "links", frozenset(self.links))
 
     @classmethod
     def empty(cls, nodes: Iterable[Node]) -> Topology:
         return cls(tuple(nodes), frozenset())
-
-    @cached_property
-    def node_map(self) -> dict[int, Node]:
-        return {node.id: node for node in self.nodes}
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -199,12 +226,6 @@ class Topology:
     @cached_property
     def linked_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(link.pair for link in self.links)
-
-    def node(self, node_id: int) -> Node:
-        try:
-            return self.node_map[node_id]
-        except KeyError:
-            raise ValueError(f"unknown node id {node_id}") from None
 
     def degree(self, node_id: int) -> int:
         return len(self.adjacency.get(node_id, ()))
@@ -253,36 +274,10 @@ class GameConfig:
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_NodeSet):
     """A node population together with its game configuration."""
 
-    nodes: tuple[Node, ...]
     config: GameConfig
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id)))
-
-    @cached_property
-    def node_map(self) -> dict[int, Node]:
-        return {node.id: node for node in self.nodes}
-
-    @cached_property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(node.id for node in self.nodes)
-
-    @cached_property
-    def ic_ids(self) -> tuple[int, ...]:
-        return tuple(node.id for node in self.nodes if node.internet_connected)
-
-    @cached_property
-    def non_ic_ids(self) -> tuple[int, ...]:
-        return tuple(node.id for node in self.nodes if not node.internet_connected)
-
-    def node(self, node_id: int) -> Node:
-        try:
-            return self.node_map[node_id]
-        except KeyError:
-            raise ValueError(f"unknown node id {node_id}") from None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import json
 import math
 
+from linkform.cli import _to_json
 from linkform.cost import bandwidth_ratio, minimum_link_power
 from linkform.criteria import (
     check_structure,
@@ -8,7 +10,7 @@ from linkform.criteria import (
     single_ic_link_criterion,
     star_criterion,
 )
-from linkform.model import GameConfig, Link, Scenario, Topology
+from linkform.model import GameConfig, Link, Scenario, Topology, validate_scenario
 
 from conftest import make_iface, make_node
 
@@ -72,6 +74,31 @@ def test_clique_criterion_applies_clique_congestion():
     result = clique_criterion(Scenario(nodes, GameConfig(gamma=16.5)))
     assert not result.holds  # 16 < 15.5 fails
     assert clique_criterion(Scenario(nodes, GameConfig(gamma=17.5))).holds
+
+
+def test_clique_tie_across_sides_names_the_lower_id_side():
+    # one radio, same weights: both sides price their one pairing alike, and the note names the first side
+    cfg = GameConfig(gamma=1.0)
+    nodes = (make_node(0, (0.0, 0.0), (MESH,), ic=True), make_node(1, (10.0, 0.0), (MESH,), ic=True))
+    assert minimum_link_power(nodes[0], 0, nodes[1], 0, cfg) == minimum_link_power(nodes[1], 0, nodes[0], 0, cfg)
+    witness = clique_criterion(Scenario(nodes, cfg)).witnesses[0]
+    assert witness.note.startswith("worst pairing (0, 0) on node 0's side")
+
+
+def test_a_co_located_pairing_costs_zero_under_an_overflowing_weight():
+    # alpha * congestion * rho overflows to inf; times sigma 0 it would be NaN, which strict JSON refuses
+    radio = make_iface("mesh", 1.0e9, 1.0e6, 1.0, 1e-12)
+    nodes = (
+        make_node(0, (0.0, 0.0), (radio,), rho=1.0e200, ic=True),
+        make_node(1, (0.0, 0.0), (radio,), rho=1.0e200),
+        make_node(2, (5.0, 0.0), (radio,), ic=True),
+    )
+    scenario = Scenario(nodes, GameConfig(gamma=10.0, alpha=1.0e200))
+    assert validate_scenario(scenario.nodes, scenario.config) == []
+    report = criteria_report(scenario)
+    [witness] = [w for w in report.single_ic_link.witnesses if w.nodes == (0, 1)]
+    assert witness.cost == 0.0
+    json.dumps(_to_json(report), allow_nan=False)
 
 
 def test_clique_witness_cost_and_note_are_exact():

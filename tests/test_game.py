@@ -8,6 +8,7 @@ import pytest
 from linkform import game
 from linkform.cli import fixture_path, load_scenario, trace_to_jsonl
 from linkform.cost import total_cost
+from linkform.criteria import criteria_report
 from linkform.game import (
     DEFAULT_MAX_MOVES,
     Add,
@@ -266,14 +267,20 @@ def test_stability_matches_oracle_on_examples():
         assert set(report.addition_violations) == additions
 
 
-@pytest.mark.parametrize("h_max", [0, -1])
+@pytest.mark.parametrize("h_max", [0, -1, None])
 def test_stability_rejects_a_hop_cap_below_1(h_max):
+    # None would reach the evaluator's ball rows as a TypeError if the scenario were not checked first
     nodes = ic_trio().nodes
     config = GameConfig(gamma=570.0, h_max=h_max)
-    with pytest.raises(ValueError, match=f"config.h_max: must be a positive integer, got {h_max}"):
+    message = f"config.h_max: must be a positive integer, got {h_max}"
+    with pytest.raises(ValueError, match=message):
         is_pairwise_stable(Topology(nodes, frozenset({Link(0, 0, 1, 0)})), config)
-    with pytest.raises(ValueError, match=f"config.h_max: must be a positive integer, got {h_max}"):
+    with pytest.raises(ValueError, match=message):
         best_response_dynamics(Scenario(nodes, config))
+    with pytest.raises(ValueError, match=message):
+        brute_force_stable_set(Scenario(nodes, config))
+    with pytest.raises(ValueError, match=message):
+        criteria_report(Scenario(nodes, config))
 
 
 @pytest.mark.parametrize("iface", [-1, 1])  # every node of the trio has one interface

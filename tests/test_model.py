@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from linkform.game import brute_force_stable_set
 from linkform.model import (
     COST_INF,
     Cost,
@@ -210,22 +211,37 @@ def test_validate_scenario_reports_ints_beyond_the_float_range():
     assert [issue.location for issue in issues] == ["config.alpha"]
 
 
-def test_validate_scenario_rejects_an_overflowing_bandwidth_ratio():
+def overflowing_ratio_nodes():
     # rho * sigma and the ratio would both be inf, so node 0's unit cost would be inf / inf = NaN
     radio = make_iface("lr", 1.0e9, 1.0e300, 1.0e12, 1.0e-3)
-    nodes = [
+    return [
         make_node(0, (0.0, 0.0), (radio,), b_min=1.0e-300, rho=1.0e301, ic=True),
         make_node(1, (1.0e4, 0.0), (radio,), b_min=1.0e-300, ic=True),
     ]
-    issues = validate_scenario(nodes, GameConfig(gamma=10.0))
+
+
+def test_validate_scenario_rejects_an_overflowing_bandwidth_ratio():
+    issues = validate_scenario(overflowing_ratio_nodes(), GameConfig(gamma=10.0))
     assert [str(issue) for issue in issues] == [
         f"node {i}.interfaces[0].max_bitrate_bps: ratio to min_required_bitrate_bps overflows to inf" for i in (0, 1)
     ]
 
 
+def test_enumeration_refuses_an_overflowing_bandwidth_ratio():
+    # node 0's unit cost is undefined here, so no topology can be called stable
+    scenario = Scenario(tuple(overflowing_ratio_nodes()), GameConfig(gamma=10.0))
+    with pytest.raises(ValueError, match="node 0.interfaces.0..max_bitrate_bps: ratio to min_required_bitrate_bps"):
+        brute_force_stable_set(scenario)
+
+
 def test_scenario_sorts_and_partitions():
+    # Scenario and Topology share one node set: the id sort, the lookup and the IC classes
     nodes = (make_node(3, (0, 0), ic=True), make_node(1, (1, 1)), make_node(2, (2, 2), ic=True))
-    scenario = Scenario(nodes, GameConfig(gamma=2.0))
-    assert scenario.ids == (1, 2, 3)
-    assert scenario.ic_ids == (2, 3)
-    assert scenario.non_ic_ids == (1,)
+    for node_set in (Scenario(nodes, GameConfig(gamma=2.0)), Topology(nodes, frozenset())):
+        assert [node.id for node in node_set.nodes] == [1, 2, 3]
+        assert node_set.ids == (1, 2, 3)
+        assert node_set.ic_ids == (2, 3)
+        assert node_set.non_ic_ids == (1,)
+        assert node_set.node(3) is nodes[0]
+        with pytest.raises(ValueError, match="unknown node id 4"):
+            node_set.node(4)
