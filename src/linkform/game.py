@@ -1,12 +1,13 @@
 """Strategy rules: deviation deltas, mutual-consent proposals, pairwise stability,
 best-response dynamics, and a brute-force enumeration of stable topologies.
 
-Improvement is always strict (ties never move). Deltas between two states that
-are both infinite carry no sign under extended-cost subtraction; the engine and
-the stability predicate resolve them by comparing how many peers remain
-unreachable within the hop cap: a move is an improvement only if it strictly
-lowers that count. This lets an empty network bootstrap itself (the first links
-reduce unreachability even though both states are infinite) while staying
+Improvement is always strict (ties never move). A node's state is the pair
+(total cost, peers unreachable within the hop cap), and a move improves a node
+exactly when its state after is below its state before in tuple order: a finite
+cost sorts below every infinite one, and between two infinite costs, which
+carry no sign under extended-cost subtraction, fewer unreachable peers is
+better. This lets an empty network bootstrap itself (the first links reduce
+unreachability even though both states are infinite) while staying
 conservative between equally-disconnected states.
 
 One deviation engine serves dynamics, stability and enumeration. Its scans
@@ -44,7 +45,7 @@ from .propagation import link_feasible, required_tx_power
 
 DEFAULT_MAX_MOVES = 10_000
 
-State = tuple[float, int]  # (total cost, peers unreachable within h_max)
+State = tuple[float, int]  # (total cost, peers unreachable within h_max); improving is ``after < before``
 Ends = list[tuple[int, int, float]]  # (peer, own interface, own unit) per link, by peer id
 Parts = tuple[float, int, float, int]  # all but the link cost: (gamma * IC hops, non-IC hops, bridging, unreachable)
 
@@ -308,23 +309,14 @@ def _link_cost(alpha: float, ends: Ends) -> float:
 
 
 def _state(link_cost: float, gic: float, non_ic: int, bridging: float, unreachable: int) -> State:
-    """A node's state from its link cost and its other parts."""
+    """A node's state from its link cost and its other parts, which are finite: an infinite link cost sums to inf."""
     if unreachable:
         return (math.inf, unreachable)
-    if math.isinf(link_cost):
-        return (math.inf, 0)
     return (link_cost + gic + non_ic + bridging, 0)
 
 
-def _improves(before: State, after: State) -> bool:
-    """Strict improvement under the documented unreachability-count rule."""
-    if math.isinf(before[0]) and math.isinf(after[0]):
-        return after[1] < before[1]
-    return after[0] < before[0]
-
-
 def _resolved_delta(before: State, after: State) -> float:
-    """Signed delta of an improvement (see ``_improves``); one between two infinite states resolves to -inf."""
+    """Signed delta of an improvement ``after < before``; one between two infinite states resolves to -inf."""
     return -math.inf if math.isinf(before[0]) and math.isinf(after[0]) else after[0] - before[0]
 
 
@@ -345,13 +337,13 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
         for at, (peer, _, _) in enumerate(own):
             rest = own[:at] + own[at + 1 :]
             lower = parts([row[0], row[1] ^ bit[peer], *row[2:]], rest)
-            if not _improves(before, _state(0.0, *lower)):  # passed over at zero link cost
+            if not _state(0.0, *lower) < before:  # passed over at zero link cost
                 continue
             link_cost = _link_cost(alpha, rest)
-            if not _improves(before, _state(link_cost, *lower)):
+            if not _state(link_cost, *lower) < before:
                 continue
             after = _state(link_cost, *reach(i, rest))
-            if _improves(before, after):
+            if after < before:
                 link = evaluator.links[(i, peer) if i < peer else (peer, i)]
                 yield Remove(link=link, initiator=i, delta=_resolved_delta(before, after))
 
@@ -381,11 +373,11 @@ def _additions(
         improving, grown_b = [], None
         for option in pairings[pair]:
             after_a = _state(_link_cost(alpha, [*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]]), *parts_a)
-            if not _improves(before_a, after_a):
+            if not after_a < before_a:
                 continue
             at_b, parts_b = grown_b = grown_b or grown(b, a)
             after_b = _state(_link_cost(alpha, [*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]]), *parts_b)
-            if _improves(before_b, after_b):
+            if after_b < before_b:
                 delta_b = _resolved_delta(before_b, after_b)
                 improving.append((_resolved_delta(before_a, after_a), option.r_a, option.r_b, delta_b))
         if improving:
@@ -411,7 +403,7 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
     physically infeasible.
     """
     topology.node(node.id)
-    if link in topology.links or topology.has_pair(link.node_a, link.node_b):
+    if topology.has_pair(link.node_a, link.node_b):
         raise ValueError(f"{link} already present")
     if not link_feasible(
         topology.node(link.node_a), link.iface_a, topology.node(link.node_b), link.iface_b, config
@@ -448,9 +440,7 @@ def propose_add(
         return Rejection(kind="infeasible")
     link = Link(i, r_i, j, r_j)
     states = _toggle_states(topology, config, link, link.pair)
-    decliners = tuple(
-        node_id for node_id, (before, after) in zip(link.pair, states) if not _improves(before, after)
-    )
+    decliners = tuple(node_id for node_id, (before, after) in zip(link.pair, states) if not after < before)
     if decliners:
         return Rejection(kind="declined", declined_by=decliners)
     (before_a, after_a), (before_b, after_b) = states
@@ -623,11 +613,11 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
                 if k < 0:
                     cut_parts = enumerate(table[subset ^ 1 << cut][i] for cut in linked)
                     cuts = (_state(link_cost(ends[:at] + ends[at + 1 :]), *parts) for at, parts in cut_parts)
-                    row[index] = any(_improves(before, after) for after in cuts)
+                    row[index] = any(after < before for after in cuts)
                 else:
                     at, parts = bisect_left(ends, (sides[i, k][0][0],)), table[subset | 1 << k][i]
                     grown = (_state(link_cost((*ends[:at], end, *ends[at:])), *parts) for end in sides[i, k])
-                    row[index] = sum(1 << j for j, after in enumerate(grown) if _improves(before, after))
+                    row[index] = sum(1 << j for j, after in enumerate(grown) if after < before)
         return memo[i, k]
 
     def blocks(k: int, subset: int) -> bool:  # absent k improves both ends at every combination pair

@@ -262,7 +262,8 @@ class GameConfig:
 
     ``gamma`` weights hop distance to internet-connected nodes (must be >= 1,
     and small enough that ``gamma * h_max * (n - 1)`` stays finite),
-    ``alpha`` scales the per-interface congestion factor, ``h_max`` is the
+    ``alpha`` scales the per-interface congestion factor (positive, and
+    small enough that ``alpha * (n - 1)`` stays finite), ``h_max`` is the
     hard cap on tolerated hop distance between any pair, and
     ``path_loss_exponent`` is the propagation exponent (2.0 = free space).
     """
@@ -295,6 +296,16 @@ def _positive(value: object) -> bool:
     return isinstance(value, (int, float)) and _finite(value) and value > 0
 
 
+def _not_positive(where: str, owner: object, *names: str) -> list[ValidationIssue]:
+    """One issue per field of ``owner`` in ``names`` that is not a positive finite number, in ``names`` order."""
+    issues = []
+    for name in names:
+        value = getattr(owner, name)
+        if not _positive(value):
+            issues.append(ValidationIssue(f"{where}.{name}", f"must be positive, got {value!r}"))
+    return issues
+
+
 def _finite(*factors: float) -> bool:
     """True when ``factors`` multiply to a finite float; False also when an int factor exceeds the float range."""
     try:
@@ -315,8 +326,10 @@ def validate_scenario(nodes: Iterable[Node], config: GameConfig) -> list[Validat
         issues.append(
             ValidationIssue("config.gamma", f"gamma * h_max * (nodes - 1) must be finite, got gamma {config.gamma!r}")
         )
-    if not _positive(config.alpha):
-        issues.append(ValidationIssue("config.alpha", f"must be positive, got {config.alpha!r}"))
+    issues += _not_positive("config", config, "alpha")
+    # a node has at most n - 1 links on one interface, so alpha * count * unit sum is never inf * 0.0
+    if _positive(config.alpha) and not _finite(config.alpha, len(node_list) - 1):
+        issues.append(ValidationIssue("config.alpha", f"alpha * (nodes - 1) must be finite, got alpha {config.alpha!r}"))
     if not isinstance(config.h_max, int) or config.h_max < 1:
         issues.append(ValidationIssue("config.h_max", f"must be a positive integer, got {config.h_max!r}"))
     if not isinstance(config.path_loss_exponent, (int, float)) or not config.path_loss_exponent >= 2:
@@ -339,33 +352,14 @@ def validate_scenario(nodes: Iterable[Node], config: GameConfig) -> list[Validat
             issues.append(ValidationIssue(f"{where}.position", f"must be a finite (x, y) pair, got {node.position!r}"))
         if not node.interfaces:
             issues.append(ValidationIssue(f"{where}.interfaces", "must list at least one interface"))
-        if not _positive(node.min_required_bitrate_bps):
-            issues.append(
-                ValidationIssue(
-                    f"{where}.min_required_bitrate_bps",
-                    f"must be positive, got {node.min_required_bitrate_bps!r}",
-                )
-            )
-        if not _positive(node.energy_weight):
-            issues.append(ValidationIssue(f"{where}.energy_weight", f"must be positive, got {node.energy_weight!r}"))
+        issues += _not_positive(where, node, "min_required_bitrate_bps", "energy_weight")
         for index, iface in enumerate(node.interfaces):
             iface_where = f"{where}.interfaces[{index}]"
             if not isinstance(iface.kind, str) or not iface.kind:
                 issues.append(ValidationIssue(f"{iface_where}.kind", "must be a non-empty string"))
-            for field_name in (
-                "frequency_hz",
-                "max_bitrate_bps",
-                "max_tx_power_w",
-                "rx_sensitivity_w",
-                "antenna_gain",
-            ):
-                if not _positive(getattr(iface, field_name)):
-                    issues.append(
-                        ValidationIssue(
-                            f"{iface_where}.{field_name}",
-                            f"must be positive, got {getattr(iface, field_name)!r}",
-                        )
-                    )
+            issues += _not_positive(
+                iface_where, iface, "frequency_hz", "max_bitrate_bps", "max_tx_power_w", "rx_sensitivity_w", "antenna_gain"
+            )
             if _positive(iface.max_bitrate_bps) and _positive(node.min_required_bitrate_bps):
                 ratio = bandwidth_ratio(iface, node)
                 if ratio == 0.0 or math.isinf(ratio):

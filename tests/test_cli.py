@@ -356,6 +356,7 @@ def set_at(path, value):
         (set_at(("config", "gamma"), 10**400), "config.gamma: number out of range"),
         (set_at(("config", "h_max"), 10**400), "config.gamma: gamma * h_max * (nodes - 1) must be finite"),
         (set_at(("config", "alpha"), 0), "config.alpha: must be positive, got 0.0"),
+        (set_at(("config", "alpha"), 1e308), "config.alpha: alpha * (nodes - 1) must be finite"),
         (set_at(("config", "h_max"), 0), "config.h_max: must be a positive integer, got 0"),
         (set_at(("config", "path_loss_exponent"), 1.5), "config.path_loss_exponent: must be >= 2, got 1.5"),
         (set_at(("nodes", 3, "position", 0), float("nan")), "node 3.position: must be a finite (x, y) pair"),
@@ -373,6 +374,7 @@ def set_at(path, value):
         "gamma-1e400",
         "h_max-1e400",
         "alpha-0",
+        "alpha-1e308",
         "h_max-0",
         "exponent-1.5",
         "position-nan",

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -116,6 +117,15 @@ def test_delta_add_preconditions():
     topo = Topology(scenario.nodes, frozenset({Link(0, 0, 1, 0)}))
     with pytest.raises(ValueError):
         delta_cost_add(scenario.nodes[0], topo, Link(0, 0, 1, 0), scenario.config)
+
+
+@pytest.mark.parametrize("link", [Link(0, 0, 1, 0), Link(0, 1, 1, 1)], ids=["same-link", "other-interfaces"])
+def test_delta_add_of_a_linked_pair_is_a_value_error(link):
+    # one link per node pair: a pair linked on one pairing cannot gain a second on another
+    nodes = tuple(make_node(i, (10.0 * i, 0.0), (WLAN, WLAN), b_min=1e7) for i in range(2))
+    topo = Topology(nodes, frozenset({Link(0, 0, 1, 0)}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(link))} already present$"):
+        delta_cost_add(nodes[0], topo, link, GameConfig(gamma=10.0))
 
 
 def test_delta_add_of_an_infeasible_link_is_a_value_error():

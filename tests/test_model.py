@@ -1,9 +1,10 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from linkform.game import brute_force_stable_set
+from linkform.game import best_response_dynamics, brute_force_stable_set, is_pairwise_stable
 from linkform.model import (
     COST_INF,
     Cost,
@@ -209,6 +210,34 @@ def test_validate_scenario_reports_ints_beyond_the_float_range():
         assert [issue.location for issue in validate_scenario([node], GameConfig(gamma=10.0))] == [location]
     issues = validate_scenario([make_node(0, (0.0, 0.0))], GameConfig(gamma=10.0, alpha=huge))
     assert [issue.location for issue in issues] == ["config.alpha"]
+
+
+def test_validate_scenario_reports_every_positivity_issue_in_order():
+    iface = make_iface(freq=0, gain=0)
+    node = make_node(0, (0.0, 0.0), (iface,), b_min=0, rho=-1)
+    issues = validate_scenario([node], GameConfig(gamma=10.0, alpha=0))
+    assert [str(issue) for issue in issues] == [
+        "config.alpha: must be positive, got 0",
+        "node 0.min_required_bitrate_bps: must be positive, got 0",
+        "node 0.energy_weight: must be positive, got -1",
+        "node 0.interfaces[0].frequency_hz: must be positive, got 0",
+        "node 0.interfaces[0].antenna_gain: must be positive, got 0",
+    ]
+
+
+def test_an_overflowing_alpha_is_refused():
+    # co-located, so every unit cost is 0.0; alpha * 2 is inf, so a second link on one interface would cost NaN
+    radio = make_iface("mesh", 1e9, 1e6, 1.0, 1e-12)
+    nodes = tuple(make_node(i, (0.0, 0.0), (radio,), b_min=1e6, ic=i == 0) for i in range(3))
+    config = GameConfig(gamma=10.0, alpha=1e308)
+    refused = "config.alpha: alpha * (nodes - 1) must be finite, got alpha 1e+308"
+    assert [str(issue) for issue in validate_scenario(nodes, config)] == [refused]
+    star = Topology(nodes, frozenset({Link(0, 0, 1, 0), Link(0, 0, 2, 0)}))
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        best_response_dynamics(Scenario(nodes, config))
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        is_pairwise_stable(star, config)
+    assert validate_scenario(nodes, GameConfig(gamma=10.0, alpha=8.9e307)) == []
 
 
 def overflowing_ratio_nodes():
