@@ -438,20 +438,13 @@ def main(argv: list[str] | None = None) -> int:
         description="Deterministic bilateral link-formation game simulator for multi-radio networks",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    try:
-        env_seed = _env_int("LINKFORM_SEED", 0)
-        env_max_moves = _env_int("LINKFORM_MAX_MOVES", DEFAULT_MAX_MOVES)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     env_out = os.environ.get("LINKFORM_OUT", "out")
 
     run_parser = subparsers.add_parser("run", help="run dynamics on a scenario and export artifacts")
     run_parser.add_argument("--scenario", required=True)
-    run_parser.add_argument("--seed", type=int, default=env_seed)
+    run_parser.add_argument("--seed", type=int)
     run_parser.add_argument("--out", default=env_out)
-    run_parser.add_argument("--max-moves", type=int, default=env_max_moves)
+    run_parser.add_argument("--max-moves", type=int)
     run_parser.set_defaults(func=cmd_run)
 
     check_parser = subparsers.add_parser("check", help="check a topology file for pairwise stability")
@@ -465,10 +458,17 @@ def main(argv: list[str] | None = None) -> int:
     sweep_parser.add_argument("--gamma", required=True, help="A:B:STEP range or a single value")
     sweep_parser.add_argument("--seeds", type=int, default=1)
     sweep_parser.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    sweep_parser.add_argument("--max-moves", type=int, default=env_max_moves)
+    sweep_parser.add_argument("--max-moves", type=int)
     sweep_parser.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
+    try:  # an integer default is read only where its flag is absent, so a bad one fails only there
+        for flag, name, default in (("seed", "LINKFORM_SEED", 0), ("max_moves", "LINKFORM_MAX_MOVES", DEFAULT_MAX_MOVES)):
+            if getattr(args, flag, 0) is None:
+                setattr(args, flag, _env_int(name, default))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for flag, minimum in (("max_moves", 0), ("seeds", 1)):
         value = getattr(args, flag, minimum)
         if value < minimum:

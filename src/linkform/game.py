@@ -172,8 +172,9 @@ class _Evaluator:
     cap) against a small mutable link set. ``state`` prices one node by an
     exact bitset search. ``states`` rebuilds ``balls`` and ``parts`` for the
     current links: ``balls[i][k]`` masks the nodes within k hops of ``i`` by
-    rank, for k <= min(h_max, n - 1), and the scans read them. Peer sums run
-    in ascending id order, whatever order the links were placed in.
+    rank, for k <= min(h_max, n - 1), and the scans read them, with ``sums``
+    for the certificates. Peer sums run in ascending id order, whatever order
+    the links were placed in.
     """
 
     def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
@@ -186,6 +187,8 @@ class _Evaluator:
         self.ic_mask = sum(self.bit[i] for i in scenario.ic_ids)
         self.n_ic = len(scenario.ic_ids)
         self.h = min(self.cfg.h_max, max(self.n - 1, 0))
+        self.weight = {i: self.cfg.gamma if self.bit[i] & self.ic_mask else 1.0 for i in self.ids}  # a peer's cost per hop
+        self.tolerance = self.n**2 * 2.0**-40  # a certificate's margin, relative to the state; the README says why
         self.ends: dict[int, Ends] = {i: [] for i in self.ids}
         self.links: dict[tuple[int, int], Link] = {}  # by (lower id, higher id); the ends keep the units
         for link in links:  # infeasible links are priced as infinite
@@ -264,13 +267,29 @@ class _Evaluator:
     def state(self, i: int) -> State:
         """(total cost, number of peers unreachable within h_max) for node ``i``, by exact search."""
         own = self.ends[i]
-        return _state(_link_cost(self.cfg.alpha, own), *self.reach(i, own))
+        return _state(_link_cost(self.cfg.alpha, _unit_sums(own)), *self.reach(i, own))
 
     def states(self) -> dict[int, State]:
-        """Every node's state; rebuilds the balls and parts the scans read."""
+        """Every node's state; rebuilds the balls, parts and sums the scans read."""
         self._rebuild()
-        alpha, ends = self.cfg.alpha, self.ends
-        return {i: _state(_link_cost(alpha, ends[i]), *parts) for i, parts in self.parts.items()}
+        alpha, gamma, ends, ic_mask = self.cfg.alpha, self.cfg.gamma, self.ends, self.ic_mask
+        n_ic, n_non_ic = self.n_ic, self.n - self.n_ic
+        states: dict[int, State] = {}
+        self.sums: dict[int, _Sums] = {}  # finite states only
+        for i, parts in self.parts.items():
+            own, units = ends[i], _unit_sums(ends[i])
+            state = states[i] = _state(_link_cost(alpha, units), *parts)
+            if state[0] == math.inf:
+                continue
+            inverse_degrees = far = 0.0
+            for peer, _, _ in own:
+                inverse_degrees += 1.0 / len(ends[peer])
+            for ball in self.balls[i][2 : self.h]:  # G(i), the weighted hop terms for 2 <= k < h
+                ic_seen = (ball & ic_mask).bit_count()
+                far += gamma * (n_ic - ic_seen) + (n_non_ic - (ball.bit_count() - ic_seen))
+            margin = state[0] * self.tolerance
+            self.sums[i] = _Sums(margin, units, inverse_degrees, parts[2], 1.0 / (len(own) + 1), far + parts[2] + margin)
+        return states
 
     def grown(self, a: int, b: int) -> tuple[int, Parts]:
         """Where ``b`` goes among a's link ends, and a's parts from ``B_k(a) | B_{k-1}(b)`` once a-b is added."""
@@ -278,6 +297,38 @@ class _Evaluator:
         at = bisect_left(own, (b,))
         trial = [*own[:at], (b, 0, 0.0), *own[at:]]
         return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], trial, b)
+
+    def cut_refuted(self, i: int, end: tuple[int, int, float]) -> bool:
+        """The severance certificate: whether cutting ``i``'s link ``end`` provably leaves its finite state no lower.
+
+        The peer moves from 1 hop to at least 2, and no other peer comes closer.
+        """
+        sums = self.sums[i]
+        peer, r_own, unit = end
+        unit_sum, count = sums.units[r_own]
+        kept = len(self.ends[i]) - 1
+        bridging = (1.0 / kept) / (sums.inverse_degrees - 1.0 / len(self.ends[peer])) if kept else 0.0
+        saved = self.cfg.alpha * (unit_sum + (count - 1) * unit)
+        return self.weight[peer] + bridging - sums.bridging - saved > sums.margin
+
+    def join_refuted(self, x: int, y: int, options: tuple[PairingOption, ...], side: int) -> bool:
+        """The addition certificate: whether no option of linking ``x`` to ``y`` can lower x's finite state.
+
+        ``side`` is x's place in the pair (0 reads ``r_a`` and ``unit_a``, 1
+        ``r_b`` and ``unit_b``). ``y`` comes to 1 hop from at least 2, and
+        every other peer to no less than 2 hops, so the hop terms fall by at
+        most ``G(x) + w_y``.
+        """
+        sums = self.sums.get(x)
+        if sums is None:
+            return False
+        room = sums.room + self.weight[y] - sums.share / (sums.inverse_degrees + 1.0 / (len(self.ends[y]) + 1))
+        alpha, units = self.cfg.alpha, sums.units
+        for option in options:
+            unit_sum, count = units.get(option[side], (0.0, 0))
+            if not alpha * (unit_sum + (count + 1) * option[side + 2]) > room:
+                return False
+        return True
 
     def reach(self, i: int, own: Ends) -> Parts:
         """``i``'s parts with link ends ``own``, by a bitset BFS over the other nodes' current ends."""
@@ -295,16 +346,31 @@ class _Evaluator:
         return self._parts(row, own)
 
 
-def _link_cost(alpha: float, ends: Ends) -> float:
-    """``alpha`` times, per own interface, its link count times its unit sum; units summed in peer order."""
-    unit_sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
+class _Sums(NamedTuple):
+    """Sums of one node with a finite state, which the scans' certificates read."""
+
+    margin: float  # the state times the evaluator's tolerance: covers the rounding a certificate must survive
+    units: dict[int, tuple[float, int]]  # from ``_unit_sums``
+    inverse_degrees: float  # sum over the peers of 1 / degree
+    bridging: float
+    share: float  # 1 / (degree + 1), the bridging numerator once a link is added
+    room: float  # G(i) + bridging + margin; G(i) caps what a new link saves in hops beyond its own peer
+
+
+def _unit_sums(ends: Ends) -> dict[int, tuple[float, int]]:
+    """Per own interface, in order of first use: its unit sum, in peer order, and its link count."""
+    sums: dict[int, tuple[float, int]] = {}
     for _, r_own, unit in ends:
-        unit_sums[r_own] = unit_sums.get(r_own, 0.0) + unit
-        counts[r_own] = counts.get(r_own, 0) + 1
+        unit_sum, count = sums.get(r_own, (0.0, 0))
+        sums[r_own] = (unit_sum + unit, count + 1)
+    return sums
+
+
+def _link_cost(alpha: float, units: dict[int, tuple[float, int]]) -> float:
+    """``alpha`` times, per own interface, its link count times its unit sum; ``units`` from ``_unit_sums``."""
     link_cost = 0.0
-    for r_own, unit_sum in unit_sums.items():
-        link_cost += alpha * counts[r_own] * unit_sum
+    for unit_sum, count in units.values():
+        link_cost += alpha * count * unit_sum
     return link_cost
 
 
@@ -325,25 +391,25 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
 
     Scans the nodes in ``node_order``, each against its peers in ascending id
     order. ``base`` holds states from ``evaluator.states``, which rebuilds
-    the balls. A cut of i-p is first priced on i's current balls with ``p``
-    taken out of ``B_1`` only. Every ball after the cut lies inside these,
-    so the price is a lower bound and can only reject; only a severance it
-    does not reject gets an exact BFS.
+    the balls and sums. A node with unreachable peers is passed over: a cut
+    never brings a peer back into reach. From a finite state, a cut gets an
+    exact BFS only when the severance certificate does not refute it; an
+    ``(inf, 0)`` state, whose link cost is infinite, gets it always.
     """
-    alpha, bit, parts, reach = evaluator.cfg.alpha, evaluator.bit, evaluator._parts, evaluator.reach
+    alpha, ends, sums, reach = evaluator.cfg.alpha, evaluator.ends, evaluator.sums, evaluator.reach
+    refuted = evaluator.cut_refuted
     for i in node_order:
-        own, row = evaluator.ends[i], evaluator.balls[i]
         before = base[i]
-        for at, (peer, _, _) in enumerate(own):
+        if before[1]:
+            continue
+        own, certified = ends[i], i in sums
+        for at, end in enumerate(own):
+            if certified and refuted(i, end):
+                continue
             rest = own[:at] + own[at + 1 :]
-            lower = parts([row[0], row[1] ^ bit[peer], *row[2:]], rest)
-            if not _state(0.0, *lower) < before:  # passed over at zero link cost
-                continue
-            link_cost = _link_cost(alpha, rest)
-            if not _state(link_cost, *lower) < before:
-                continue
-            after = _state(link_cost, *reach(i, rest))
+            after = _state(_link_cost(alpha, _unit_sums(rest)), *reach(i, rest))
             if after < before:
+                peer = end[0]
                 link = evaluator.links[(i, peer) if i < peer else (peer, i)]
                 yield Remove(link=link, initiator=i, delta=_resolved_delta(before, after))
 
@@ -358,25 +424,32 @@ def _additions(
 
     Best is the lowest delta for ``a``, the lower id, then the lowest
     (r_a, r_b). ``base`` holds states from ``evaluator.states``, which
-    rebuilds the balls. Only the link cost depends on the pairing, and ``b``
-    is priced only when ``a`` improves.
+    rebuilds the balls and sums. A pair is passed over when the addition
+    certificate refutes either endpoint, ``b`` first, since ``b`` seldom
+    improves where ``a`` does. Otherwise only the link cost depends on the
+    pairing, and ``b`` is priced only when ``a`` improves.
     """
     alpha, links, ends, grown = evaluator.cfg.alpha, evaluator.links, evaluator.ends, evaluator.grown
+    refuted = evaluator.join_refuted
     for pair in pair_order:
         if pair in links:
             continue
         a, b = pair
+        if refuted(b, a, pairings[pair], 1) or refuted(a, b, pairings[pair], 0):
+            continue
         before_a = base[a]
         at_a, parts_a = grown(a, b)
         before_b = base[b]
         ends_a, ends_b = ends[a], ends[b]
         improving, grown_b = [], None
         for option in pairings[pair]:
-            after_a = _state(_link_cost(alpha, [*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]]), *parts_a)
+            units_a = _unit_sums([*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]])
+            after_a = _state(_link_cost(alpha, units_a), *parts_a)
             if not after_a < before_a:
                 continue
             at_b, parts_b = grown_b = grown_b or grown(b, a)
-            after_b = _state(_link_cost(alpha, [*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]]), *parts_b)
+            units_b = _unit_sums([*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]])
+            after_b = _state(_link_cost(alpha, units_b), *parts_b)
             if after_b < before_b:
                 delta_b = _resolved_delta(before_b, after_b)
                 improving.append((_resolved_delta(before_a, after_a), option.r_a, option.r_b, delta_b))
@@ -594,7 +667,7 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     for k, (a, b) in enumerate(pair_order):
         sides[a, k] = [(b, option.r_a, option.unit_a) for option in pairings[a, b]]
         sides[b, k] = [(a, option.r_b, option.unit_b) for option in pairings[a, b]]
-    link_cost = functools.cache(functools.partial(_link_cost, scenario.config.alpha))  # by a node's ends
+    link_cost = functools.cache(lambda ends: _link_cost(scenario.config.alpha, _unit_sums(ends)))  # by a node's ends
     combos: dict[tuple, list[tuple]] = {}  # (node, its pairs in S): (pairing indices, its ends) per combination
     memo: dict[tuple[int, int], dict[tuple, int]] = {}  # verdicts within one subset
 

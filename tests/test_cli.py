@@ -574,6 +574,26 @@ def test_non_integer_env_default_is_rejected(tmp_path, monkeypatch, capsys, name
     assert f"error: {name} must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "names, argv, code",
+    [
+        (("LINKFORM_SEED", "LINKFORM_MAX_MOVES"), ["check", "--topology", "{empty}"], 2),
+        (("LINKFORM_SEED",), ["sweep", "--gamma", "570", "--out", "{out}.csv"], 0),
+        (("LINKFORM_MAX_MOVES",), ["sweep", "--gamma", "570", "--max-moves", "50", "--out", "{out}.csv"], 0),
+        (("LINKFORM_SEED", "LINKFORM_MAX_MOVES"), ["run", "--seed", "0", "--max-moves", "50", "--out", "{out}"], 0),
+    ],
+    ids=["check", "sweep", "sweep-flag", "run-flags"],
+)
+def test_non_integer_env_default_is_read_only_where_used(tmp_path, monkeypatch, capsys, names, argv, code):
+    for name in names:
+        monkeypatch.setenv(name, "abc")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"links": []}))
+    argv = [arg.format(empty=empty, out=tmp_path / "o") for arg in argv]
+    assert run_cli(argv[0], "--scenario", FIXTURE_570, *argv[1:]) == code
+    assert "must be an integer" not in capsys.readouterr().err
+
+
 def capped_argv(command, tmp_path):
     if command == "run":
         return ["run", "--scenario", FIXTURE_570, "--out", str(tmp_path / "o")]

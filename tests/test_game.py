@@ -277,6 +277,45 @@ def test_stability_matches_oracle_on_examples():
         assert set(report.addition_violations) == additions
 
 
+def test_stability_at_the_float_ties_of_its_gamma_interval_matches_the_oracle():
+    # the fixture's converged seed-0 topology is stable for gamma in about (9.576147, 783.627224); at the two
+    # adjacent floats where the verdict flips, the deciding delta is a few ulps from 0, inside any certificate margin
+    scenario = load_scenario(fixture_path("smart_home_gamma570.json"))
+    topology, _ = best_response_dynamics(scenario)
+
+    def config(gamma):
+        return dataclasses.replace(scenario.config, gamma=gamma)
+
+    flips = []
+    for inside, outside in ((100.0, 9.0), (100.0, 800.0)):
+        assert is_pairwise_stable(topology, config(inside)).stable and not is_pairwise_stable(topology, config(outside)).stable
+        while math.nextafter(inside, outside) != outside:
+            middle = (inside + outside) / 2
+            if is_pairwise_stable(topology, config(middle)).stable:
+                inside = middle
+            else:
+                outside = middle
+        flips += [inside, outside]
+    assert 9.5761 < flips[0] < 9.5762 and 783.6272 < flips[2] < 783.6273
+    for gamma in flips:
+        report = is_pairwise_stable(topology, config(gamma))
+        expected = (report.stable, set(report.severance_violations), set(report.addition_violations))
+        assert stability_oracle(topology, config(gamma)) == expected
+
+
+def test_certificates_decide_a_clearly_stable_topology_without_pricing(monkeypatch):
+    # on the fixture's converged seed-2 topology, each of the 26 cuts and 32 absent pairs is refuted in O(1)
+    scenario = load_scenario(fixture_path("smart_home_gamma570.json"))
+    topology, _ = best_response_dynamics(scenario, seed=2)
+
+    def priced(*args):
+        raise AssertionError("a candidate was priced exactly")
+
+    monkeypatch.setattr(game._Evaluator, "reach", priced)
+    monkeypatch.setattr(game._Evaluator, "grown", priced)
+    assert is_pairwise_stable(topology, scenario.config).stable
+
+
 @pytest.mark.parametrize("h_max", [0, -1, None])
 def test_stability_rejects_a_hop_cap_below_1(h_max):
     # None would reach the evaluator's ball rows as a TypeError if the scenario were not checked first
@@ -325,6 +364,28 @@ def test_a_feasible_pairing_with_an_infinite_unit_cost_is_a_candidate():
     topology, trace = best_response_dynamics(scenario)
     assert trace.converged and [step.move.link for step in trace.steps] == [link]
     assert total_cost(scenario.nodes[0], topology, scenario.config).total.value == math.inf
+
+
+def test_a_cut_from_an_infinite_link_cost_is_priced_exactly():
+    # node 0's state is (inf, 0): every peer is in reach, but its unit on 0-1 is inf
+    radio = make_iface("lr", 1.0e9, 1.0e5, 1.0e12, 1.0e-3)
+    nodes = (
+        make_node(0, (0.0, 0.0), (radio,), b_min=1.0e6, rho=1.0e300, ic=True),
+        make_node(1, (1.0e4, 0.0), (radio,), b_min=1.0e6, ic=True),
+        make_node(2, (0.0, 0.0), (radio,), b_min=1.0e6),  # co-located with node 0: its unit on 0-2 is 0
+    )
+    config = GameConfig(gamma=10.0)
+    links = frozenset({Link(0, 0, 1, 0), Link(0, 0, 2, 0), Link(1, 0, 2, 0)})
+    topology = Topology(nodes, links)
+    assert node_state_naive(topology, 0, config) == (math.inf, 0)
+    report = is_pairwise_stable(topology, config)
+    assert (0, Link(0, 0, 1, 0)) in report.severance_violations
+    assert stability_oracle(topology, config) == (
+        report.stable,
+        set(report.severance_violations),
+        set(report.addition_violations),
+    )
+    assert delta_cost_remove(nodes[0], topology, Link(0, 0, 1, 0), config) == -math.inf
 
 
 def test_pairing_table_holds_exactly_the_feasible_pairings():

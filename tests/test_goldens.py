@@ -4,7 +4,8 @@ The fixture and tiled n = 20 run digests, the sweep digest and the first
 analyze_small stable sets are entries of ``perfbench/goldens.json``, which the
 benchmark also checks; these tests only read them, and build their inputs
 with the benchmark's own generators. The cycling run's digests are literals,
-recorded before cycles were completed by repetition.
+recorded before cycles were completed by repetition, and so are the tiled
+n = 60 run's, recorded before the scans' certificates.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 import goldens  # noqa: E402
 import scenarios  # noqa: E402
+import tiling  # noqa: E402
 
 GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text())
 
@@ -76,4 +78,19 @@ def test_cycling_run_artifacts_match_recorded_digests(tmp_path, capsys):
     assert {name: sha256(out / name) for name in ("report.json", "trace.jsonl")} == {
         "report.json": "cb662d866d9c152085206294a429ab33d55d9f072139ea2d4494d98746e48660",
         "trace.jsonl": "61ade93c753f77eb68565fc43dd375f0f31a7865e8e860e33766cd71015cf0a9",
+    }
+
+
+def test_tiled60_run_artifacts_match_recorded_digests(tmp_path, capsys):
+    # the 570 fixture tiled 6x converges after 392 moves at scan seed 0
+    data = tiling.tiled_bytes(fixture_path(goldens.TILED_FIXTURE), 6)
+    assert tiling.sha256(data) == "cdada5058e6678d7dd2dfa30828de52a8915ba5010396965df68ac27be20ded0"
+    scenario = tmp_path / "tiled60.json"
+    scenario.write_bytes(data)
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(scenario), "--seed", "0", "--out", str(out)]) == 0
+    assert {name: sha256(out / name) for name in ("report.json", "trace.jsonl", "topology.json")} == {
+        "report.json": "6d4b21246d80c7fa08e313042337516c4fc0a132c9fac8e43be6976ba88fb9c0",
+        "trace.jsonl": "802b4e34429e7e4a1e617926fba5fec9b01f6c619cd4c82b43ade1e216a912db",
+        "topology.json": "7ea10bf96aed9a389106f62fae2eaf0a70cc397efc9f1b78bb2f4f7446ee81ca",
     }
