@@ -190,6 +190,7 @@ class _Evaluator:
         self.weight = {i: self.cfg.gamma if self.bit[i] & self.ic_mask else 1.0 for i in self.ids}  # a peer's cost per hop
         self.tolerance = self.n**2 * 2.0**-40  # a certificate's margin, relative to the state; the README says why
         self.ends: dict[int, Ends] = {i: [] for i in self.ids}
+        self.degree = {i: 0 for i in self.ids}  # len(ends[i]), kept by place and remove
         self.links: dict[tuple[int, int], Link] = {}  # by (lower id, higher id); the ends keep the units
         for link in links:  # infeasible links are priced as infinite
             self.place_link(link)
@@ -206,11 +207,15 @@ class _Evaluator:
         self.links[pair] = link
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
+        self.degree[a] += 1
+        self.degree[b] += 1
 
     def remove(self, pair: tuple[int, int]) -> None:
         a, b = pair
         del self.ends[a][bisect_left(self.ends[a], (b,))]
         del self.ends[b][bisect_left(self.ends[b], (a,))]
+        self.degree[a] -= 1
+        self.degree[b] -= 1
         del self.links[pair]
 
     def toggle(self, link: Link) -> None:
@@ -241,10 +246,10 @@ class _Evaluator:
         self.parts: dict[int, Parts] = {}
         for i, row in self.balls.items():
             row += [row[-1]] * (self.h + 1 - len(row))
-            self.parts[i] = self._parts(row, self.ends[i])
+            self.parts[i] = self._parts(row, self.ends[i], self.degree)
 
-    def _parts(self, row: list[int], own: Ends, grown_peer: int = -1) -> Parts:
-        """Parts from balls B_0..B_h and link ends; hop sums are ``sum over k < h of |class - B_k|``."""
+    def _parts(self, row: list[int], own: Ends, degree: dict[int, int] | list[int], grown_peer: int = -1) -> Parts:
+        """Parts from balls B_0.. and ends whose peers key ``degree``; hop sums are ``sum over k < h of |class - B_k|``."""
         last = row[-1]
         if last != self.full:
             return 0.0, 0, 0.0, self.n - last.bit_count()
@@ -259,7 +264,7 @@ class _Evaluator:
         if own:
             inverse_degrees = 0.0
             for peer, _, _ in own:
-                inverse_degrees += 1.0 / (len(self.ends[peer]) + (peer == grown_peer))
+                inverse_degrees += 1.0 / (degree[peer] + (peer == grown_peer))
             bridging = (1.0 / len(own)) / inverse_degrees
         ic_missing = levels * self.n_ic - ic_seen
         return self.cfg.gamma * ic_missing, levels * (self.n - self.n_ic) - (seen - ic_seen), bridging, 0
@@ -272,7 +277,7 @@ class _Evaluator:
     def states(self) -> dict[int, State]:
         """Every node's state; rebuilds the balls, parts and sums the scans read."""
         self._rebuild()
-        alpha, gamma, ends, ic_mask = self.cfg.alpha, self.cfg.gamma, self.ends, self.ic_mask
+        alpha, gamma, ends, degree, ic_mask = self.cfg.alpha, self.cfg.gamma, self.ends, self.degree, self.ic_mask
         n_ic, n_non_ic = self.n_ic, self.n - self.n_ic
         states: dict[int, State] = {}
         self.sums: dict[int, _Sums] = {}  # finite states only
@@ -283,7 +288,7 @@ class _Evaluator:
                 continue
             inverse_degrees = far = 0.0
             for peer, _, _ in own:
-                inverse_degrees += 1.0 / len(ends[peer])
+                inverse_degrees += 1.0 / degree[peer]
             for ball in self.balls[i][2 : self.h]:  # G(i), the weighted hop terms for 2 <= k < h
                 ic_seen = (ball & ic_mask).bit_count()
                 far += gamma * (n_ic - ic_seen) + (n_non_ic - (ball.bit_count() - ic_seen))
@@ -296,7 +301,7 @@ class _Evaluator:
         own, row = self.ends[a], self.balls[a]
         at = bisect_left(own, (b,))
         trial = [*own[:at], (b, 0, 0.0), *own[at:]]
-        return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], trial, b)
+        return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], trial, self.degree, b)
 
     def cut_refuted(self, i: int, end: tuple[int, int, float]) -> bool:
         """The severance certificate: whether cutting ``i``'s link ``end`` provably leaves its finite state no lower.
@@ -306,8 +311,8 @@ class _Evaluator:
         sums = self.sums[i]
         peer, r_own, unit = end
         unit_sum, count = sums.units[r_own]
-        kept = len(self.ends[i]) - 1
-        bridging = (1.0 / kept) / (sums.inverse_degrees - 1.0 / len(self.ends[peer])) if kept else 0.0
+        kept = self.degree[i] - 1
+        bridging = (1.0 / kept) / (sums.inverse_degrees - 1.0 / self.degree[peer]) if kept else 0.0
         saved = self.cfg.alpha * (unit_sum + (count - 1) * unit)
         return self.weight[peer] + bridging - sums.bridging - saved > sums.margin
 
@@ -322,7 +327,7 @@ class _Evaluator:
         sums = self.sums.get(x)
         if sums is None:
             return False
-        room = sums.room + self.weight[y] - sums.share / (sums.inverse_degrees + 1.0 / (len(self.ends[y]) + 1))
+        room = sums.room + self.weight[y] - sums.share / (sums.inverse_degrees + 1.0 / (self.degree[y] + 1))
         alpha, units = self.cfg.alpha, sums.units
         for option in options:
             unit_sum, count = units.get(option[side], (0.0, 0))
@@ -343,7 +348,24 @@ class _Evaluator:
                     reached += [k for k, _, _ in self.ends[j]]
             row.append(ball)
             frontier = reached
-        return self._parts(row, own)
+        return self._parts(row, own, self.degree)
+
+    def masked_parts(self, near: tuple[int, ...], i: int) -> Parts:
+        """``i``'s parts when ``near`` holds every node's closed-neighbourhood mask, by rank, by a frontier BFS."""
+        bit = ball = frontier = self.bit[i]
+        row = [ball]
+        for _ in range(self.h):
+            grown = ball
+            while frontier:
+                low = frontier & -frontier
+                grown |= near[low.bit_length() - 1]
+                frontier ^= low
+            if grown == ball:
+                break
+            frontier, ball = grown ^ ball, grown
+            row.append(ball)
+        peers = near[bit.bit_length() - 1] ^ bit  # ends keyed by rank, which orders peers as their ids do
+        return self._parts(row, [(j, 0, 0.0) for j in range(self.n) if peers >> j & 1], [m.bit_count() - 1 for m in near])
 
 
 class _Sums(NamedTuple):
@@ -619,78 +641,81 @@ def replay_trace(scenario: Scenario, trace: DynamicsTrace) -> Topology:
     return topology
 
 
-def _parts_table(
-    evaluator: _Evaluator, pairings: PairingTable, pair_order: list[tuple[int, int]]
-) -> list[dict[int, Parts]]:
-    """Every node's parts at every subset of ``pair_order``, by bitmask (bit k links ``pair_order[k]``).
+def _subset_masks(evaluator: _Evaluator, pair_order: list[tuple[int, int]]) -> tuple[list[tuple[int, ...]], list[bool]]:
+    """Each subset's closed-neighbourhood masks by rank (bit k links ``pair_order[k]``), and whether it is closed.
 
-    ``evaluator`` starts with no links. Parts do not depend on pairings, so
-    each pair is placed as its first option. Subsets follow a Gray code: each
-    step toggles one pair.
+    Closed means no absent pair joins two of its components: they are those of
+    every pair. A subset's masks and components extend those without its lowest pair.
     """
-    table: list[dict[int, Parts]] = [{}] * (1 << len(pair_order))
-    firsts = [pairings[pair][0] for pair in pair_order]
-    links = [Link(a, option.r_a, b, option.r_b) for (a, b), option in zip(pair_order, firsts)]
-    subset = 0
-    for step in range(len(table)):
-        if step:
-            k = (step & -step).bit_length() - 1
-            subset ^= 1 << k
-            if subset >> k & 1:
-                evaluator.place(links[k], firsts[k])
-            else:
-                evaluator.remove(pair_order[k])
-        evaluator._rebuild()
-        table[subset] = evaluator.parts
-    return table
+    ranks = [(evaluator.bit[a].bit_length() - 1, evaluator.bit[b].bit_length() - 1) for a, b in pair_order]
+    nears = [tuple(evaluator.bit.values())]
+    components = nears[:]  # each node's component mask, by rank
+    for subset in range(1, 1 << len(pair_order)):
+        low = subset & -subset
+        x, y = ranks[low.bit_length() - 1]
+        near, component = list(nears[subset ^ low]), components[subset ^ low]
+        near[x] |= 1 << y
+        near[y] |= 1 << x
+        nears.append(tuple(near))
+        if component[x] != component[y]:
+            joined = component[x] | component[y]
+            component = tuple(joined if mask & joined else mask for mask in component)
+        components.append(component)
+    return nears, [component == components[-1] for component in components]
 
 
 def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topology]:
     """Enumerate every feasible topology and keep the pairwise-stable ones.
 
-    Every subset S of feasible pairs is crossed with every interface pairing
-    of its pairs. Adding pair ``p`` gives its endpoints their parts at
-    ``S | p`` in ``_parts_table``, and severing it their parts at ``S - p``.
-    A node's verdicts at S are priced once per pairing combination of its
-    own links. S is skipped when an absent pair improves both endpoints at
-    every pair of their combinations. Refuses scenarios larger than
-    ``max_nodes``: the table grows as 2^pairs. Raises ValueError when the
-    scenario is invalid: ``pairing_table`` checks it.
+    Only closed subsets S of feasible pairs are walked: otherwise an absent pair
+    joins two components, which improves both ends. Parts do not depend on
+    pairings: adding pair ``p`` gives its ends their parts at ``S | p``,
+    severing it at ``S - p``, read on demand from the subset's masks. Verdicts
+    are priced per pairing combination of a node's links, and reused wherever
+    the node, the move, its linked pairs and its parts before and after recur.
+    S is skipped when an absent pair improves both ends at every pair of their
+    combinations. Refuses scenarios over ``max_nodes``: masks grow as 2^pairs.
+    Raises ValueError when the scenario is invalid: ``pairing_table`` checks it.
     """
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
     pairings = pairing_table(scenario)
     pair_order = sorted(pairings)
-    table = _parts_table(_Evaluator(scenario), pairings, pair_order)
+    evaluator = _Evaluator(scenario)
+    nears, closed = _subset_masks(evaluator, pair_order)
     mine = {i: [k for k, pair in enumerate(pair_order) if i in pair] for i in scenario.ids}  # in peer order
     sides: dict[tuple[int, int], list[tuple[int, int, float]]] = {}  # (node, k): its end of pair k, per pairing
     for k, (a, b) in enumerate(pair_order):
         sides[a, k] = [(b, option.r_a, option.unit_a) for option in pairings[a, b]]
         sides[b, k] = [(a, option.r_b, option.unit_b) for option in pairings[a, b]]
     link_cost = functools.cache(lambda ends: _link_cost(scenario.config.alpha, _unit_sums(ends)))  # by a node's ends
-    combos: dict[tuple, list[tuple]] = {}  # (node, its pairs in S): (pairing indices, its ends) per combination
-    memo: dict[tuple[int, int], dict[tuple, int]] = {}  # verdicts within one subset
+    parts = functools.cache(lambda subset, i: evaluator.masked_parts(nears[subset], i))  # by subset and node
+    combos = functools.cache(lambda i, linked: [  # (pairing indices, ends) per pairing combination of i's pairs in S
+        (tuple(j for j, _ in combo), tuple(end for _, end in combo))
+        for combo in itertools.product(*(enumerate(sides[i, cut]) for cut in linked))
+    ])
+    memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}  # verdicts within one subset
+
+    @functools.cache  # verdict rows by everything they read, shared across subsets
+    def priced(i: int, k: int, linked: tuple[int, ...], before_parts: Parts, after_parts: tuple) -> dict:
+        row = {}
+        for index, ends in combos(i, linked):
+            before = _state(link_cost(ends), *before_parts)
+            if k < 0:
+                cuts = (_state(link_cost(ends[:at] + ends[at + 1 :]), *cut) for at, cut in enumerate(after_parts))
+                row[index] = any(after < before for after in cuts)
+            else:
+                at = bisect_left(ends, (sides[i, k][0][0],))
+                grown = (_state(link_cost((*ends[:at], end, *ends[at:])), *after_parts) for end in sides[i, k])
+                row[index] = sum(1 << j for j, after in enumerate(grown) if after < before)
+        return row
 
     def verdicts(i: int, k: int, subset: int) -> dict[tuple[int, ...], int]:
         """By the pairings of i's links: a mask of absent k's improving pairings, or for k = -1 if a cut improves."""
         if (i, k) not in memo:
             linked = tuple(cut for cut in mine[i] if subset >> cut & 1)
-            if (i, linked) not in combos:
-                combos[i, linked] = [
-                    (tuple(j for j, _ in combo), tuple(end for _, end in combo))
-                    for combo in itertools.product(*(enumerate(sides[i, cut]) for cut in linked))
-                ]
-            memo[i, k] = row = {}
-            for index, ends in combos[i, linked]:
-                before = _state(link_cost(ends), *table[subset][i])
-                if k < 0:
-                    cut_parts = enumerate(table[subset ^ 1 << cut][i] for cut in linked)
-                    cuts = (_state(link_cost(ends[:at] + ends[at + 1 :]), *parts) for at, parts in cut_parts)
-                    row[index] = any(after < before for after in cuts)
-                else:
-                    at, parts = bisect_left(ends, (sides[i, k][0][0],)), table[subset | 1 << k][i]
-                    grown = (_state(link_cost((*ends[:at], end, *ends[at:])), *parts) for end in sides[i, k])
-                    row[index] = sum(1 << j for j, after in enumerate(grown) if after < before)
+            after = parts(subset | 1 << k, i) if k >= 0 else tuple(parts(subset ^ 1 << cut, i) for cut in linked)
+            memo[i, k] = priced(i, k, linked, parts(subset, i), after)
         return memo[i, k]
 
     def blocks(k: int, subset: int) -> bool:  # absent k improves both ends at every combination pair
@@ -699,7 +724,7 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
 
     stable: set[Topology] = set()
     blockers = list(range(len(pair_order)))  # the pair that blocked most recently first
-    for subset in range(len(table)):
+    for subset in itertools.compress(range(len(nears)), closed):
         memo.clear()
         blocker = next((k for k in blockers if not subset >> k & 1 and blocks(k, subset)), None)
         if blocker is not None:

@@ -6,8 +6,8 @@ afresh. Every trace cost must equal the reference bit for bit, and the
 stability check must report exactly the oracle's deviations, on both a
 family that severs links (``fixture_sample_scenario``) and one that does not
 (``free_scenario``). So must every single-deviation query, and the parts
-table behind the enumeration must equal the engine's grown and severed
-parts.
+that the enumeration reads from each pair subset's neighbourhood masks must
+equal the engine's grown and severed parts.
 """
 
 from __future__ import annotations
@@ -140,27 +140,58 @@ def test_single_queries_equal_reference_exactly():
                         assert bits(decision.delta_b) == bits(resolved_delta_naive(base[b], after[b]))
 
 
+def components(ids, pairs):
+    """Each node's component as a frozenset, by a plain search over ``pairs``."""
+    adjacent = {i: set() for i in ids}
+    for a, b in pairs:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    label = {}
+    for start in ids:
+        seen, stack = {start}, [start]
+        while stack:
+            for j in adjacent[stack.pop()] - seen:
+                seen.add(j)
+                stack.append(j)
+        label[start] = frozenset(seen)
+    return label
+
+
 def test_parts_table_equals_grown_and_severed():
+    # the enumeration's parts, read on demand from each subset's masks, against the evaluator's own
     scenarios = [Scenario(fixture_sample_scenario(seed)[0].nodes[:5], FIXTURES[0].config) for seed in range(2)]
     scenarios += [free_scenario(seed, max_nodes=5) for seed in (5, 12)]
+    # nodes 3 and 4 moved 100 km away: two clusters, so closedness must look past node 0's component
+    far = tuple(
+        dataclasses.replace(node, position=(node.position[0] + 1e5, node.position[1])) for node in scenarios[0].nodes[3:]
+    )
+    scenarios.append(Scenario(scenarios[0].nodes[:3] + far, FIXTURES[0].config))
+    split = game.pairing_table(scenarios[-1])
+    assert (3, 4) in split and not any(a < 3 <= b for a, b in split)
     for scenario in scenarios:
         pairings = game.pairing_table(scenario)
         pair_order = sorted(pairings)
-        table = game._parts_table(game._Evaluator(scenario), pairings, pair_order)
-        for subset, parts in enumerate(table):
+        empty = game._Evaluator(scenario)
+        nears, closed = game._subset_masks(empty, pair_order)
+        assert len(nears) == len(closed) == 1 << len(pair_order)
+        for subset, near in enumerate(nears):
             linked = [pair for k, pair in enumerate(pair_order) if subset >> k & 1]
             links = [Link(a, pairings[a, b][0].r_a, b, pairings[a, b][0].r_b) for a, b in linked]
             evaluator = game._Evaluator(scenario, links)
             evaluator.states()
-            assert parts == evaluator.parts
+            assert {i: empty.masked_parts(near, i) for i in scenario.ids} == evaluator.parts
             for k, (a, b) in enumerate(pair_order):
                 for i, j in ((a, b), (b, a)):
                     if subset >> k & 1:
                         own = evaluator.ends[i]
                         at = bisect_left(own, (j,))
-                        assert evaluator.reach(i, own[:at] + own[at + 1 :]) == table[subset ^ 1 << k][i]
+                        severed = empty.masked_parts(nears[subset ^ 1 << k], i)
+                        assert evaluator.reach(i, own[:at] + own[at + 1 :]) == severed
                     else:
-                        assert evaluator.grown(i, j)[1] == table[subset | 1 << k][i]
+                        assert evaluator.grown(i, j)[1] == empty.masked_parts(nears[subset | 1 << k], i)
+            # skipped exactly when an absent feasible pair joins two components
+            label = components(scenario.ids, linked)
+            assert closed[subset] == all(label[a] == label[b] for a, b in pair_order)
 
 
 def test_stability_equals_oracle_at_small_hop_caps():

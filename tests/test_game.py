@@ -656,6 +656,25 @@ def test_brute_force_equals_oracle_over_every_link_set():
         assert {topology.links for topology in brute_force_stable_set(scenario)} == expected
 
 
+def test_brute_force_equals_oracle_at_small_hop_caps():
+    # at h_max 1 and 2 a link set with every feasible pair inside one component can still leave
+    # peers out of reach; node 4 has no feasible pair, so every state is infinite and the count rule decides
+    spots = ((0.0, 0.0), (20.0, 0.0), (10.0, 15.0), (30.0, 10.0), (5000.0, 0.0))
+    isolated = Scenario(
+        tuple(make_node(i, spot, (MESH,), ic=i in (0, 2)) for i, spot in enumerate(spots)), GameConfig(gamma=10.0)
+    )
+    assert len(feasible_pairings(isolated)) == 6 and all(4 not in pair for pair in feasible_pairings(isolated))
+    for scenario in [free_scenario(seed, max_nodes=4) for seed in range(8)] + [isolated]:
+        for h_max in (1, 2):
+            config = dataclasses.replace(scenario.config, h_max=h_max)
+            expected = {
+                links
+                for links in all_link_sets(scenario)
+                if stability_oracle(Topology(scenario.nodes, links), config)[0]
+            }
+            assert {topology.links for topology in brute_force_stable_set(Scenario(scenario.nodes, config))} == expected
+
+
 def test_fixed_points_belong_to_stable_set():
     for base_seed in (0, 5, 9):
         scenario = free_scenario(base_seed, max_nodes=4)
