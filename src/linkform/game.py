@@ -10,11 +10,12 @@ better. This lets an empty network bootstrap itself (the first links reduce
 unreachability even though both states are infinite) while staying
 conservative between equally-disconnected states.
 
-One deviation engine serves dynamics, stability and enumeration. Its scans
-yield moves: ``_severances`` a ``Remove`` per improving severance, by node, then
-peer id, and ``_additions`` one ``Add`` per absent pair, in pair order, with the
-pair's best mutually improving pairing: the lowest delta for the lower-id
-endpoint wins, then the lowest interfaces.
+Dynamics and the stability check share one deviation engine, and the enumeration
+prices its own verdicts; all three share ``_state``, ``_parts`` and one hop-ball
+search, ``_Evaluator._search``. The engine's scans yield moves: ``_severances`` a
+``Remove`` per improving severance, by node, then peer id, and ``_additions`` one
+``Add`` per absent pair, in pair order, with the pair's best mutually improving
+pairing: the lowest delta for the lower-id endpoint wins, then the lowest interfaces.
 """
 
 from __future__ import annotations
@@ -169,20 +170,22 @@ class _Evaluator:
     """Incremental cost evaluation for one scenario across candidate link sets.
 
     Answers state queries as (total cost, peers unreachable within the hop
-    cap) against a small mutable link set. ``state`` prices one node by an
-    exact bitset search. ``states`` rebuilds ``balls`` and ``parts`` for the
-    current links: ``balls[i][k]`` masks the nodes within k hops of ``i`` by
-    rank, for k <= min(h_max, n - 1), and the scans read them, with ``sums``
-    for the certificates. Peer sums run in ascending id order, whatever order
-    the links were placed in.
+    cap) against a small mutable link set. One search (``_search``) grows hop
+    balls from closed-neighbourhood masks by rank: ``state`` and the exact cuts
+    search ``near``, the current links' masks; ``masked_parts`` a subset's.
+    ``states`` rebuilds ``balls[i][k]``, the nodes within k <= min(h_max, n - 1)
+    hops of ``i``, and from them ``parts`` and ``sums`` in one pass. Peer sums
+    run in ascending id order, whatever order the links were placed in.
     """
 
     def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
         self.cfg = scenario.config
         self.ids: tuple[int, ...] = scenario.ids
         self.n = len(self.ids)
-        self.by_id = scenario.node_map
-        self.bit = {i: 1 << rank for rank, i in enumerate(self.ids)}
+        self.node = scenario.node
+        self.rank = {i: rank for rank, i in enumerate(self.ids)}
+        self.bit = {i: 1 << rank for i, rank in self.rank.items()}
+        self.near = list(self.bit.values())  # closed-neighbourhood masks by rank, kept by place and remove
         self.full = (1 << self.n) - 1
         self.ic_mask = sum(self.bit[i] for i in scenario.ic_ids)
         self.n_ic = len(scenario.ic_ids)
@@ -193,22 +196,23 @@ class _Evaluator:
         self.degree = {i: 0 for i in self.ids}  # len(ends[i]), kept by place and remove
         self.links: dict[tuple[int, int], Link] = {}  # by (lower id, higher id); the ends keep the units
         for link in links:  # infeasible links are priced as infinite
-            self.place_link(link)
+            self.place(link)
 
     # -- mutable link set -----------------------------------------------------
 
-    def place_link(self, link: Link) -> None:
-        node_a, node_b = self.by_id[link.node_a], self.by_id[link.node_b]
-        self.place(link, _pairing(self.cfg, node_a, link.iface_a, node_b, link.iface_b))
-
-    def place(self, link: Link, option: PairingOption) -> None:
-        """Add ``link`` between an unlinked pair, priced as ``option``."""
+    def place(self, link: Link) -> None:
+        """Add ``link``, priced by its pairing; raises ValueError for an unknown node or a pair that is linked already."""
         a, b = pair = link.pair
+        if pair in self.links:
+            raise ValueError(f"node pair {pair} linked more than once")
+        option = _pairing(self.cfg, self.node(a), link.iface_a, self.node(b), link.iface_b)
         self.links[pair] = link
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
         self.degree[a] += 1
         self.degree[b] += 1
+        self.near[self.rank[a]] ^= self.bit[b]
+        self.near[self.rank[b]] ^= self.bit[a]
 
     def remove(self, pair: tuple[int, int]) -> None:
         a, b = pair
@@ -216,6 +220,8 @@ class _Evaluator:
         del self.ends[b][bisect_left(self.ends[b], (a,))]
         self.degree[a] -= 1
         self.degree[b] -= 1
+        self.near[self.rank[a]] ^= self.bit[b]
+        self.near[self.rank[b]] ^= self.bit[a]
         del self.links[pair]
 
     def toggle(self, link: Link) -> None:
@@ -223,33 +229,27 @@ class _Evaluator:
         if link.pair in self.links:
             self.remove(link.pair)
         else:
-            self.place_link(link)
+            self.place(link)
 
     # -- evaluation -----------------------------------------------------------
 
-    def _rebuild(self) -> None:
-        """``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``, then every node's parts."""
-        level = self.bit
-        self.balls: dict[int, list[int]] = {i: [ball] for i, ball in level.items()}
+    def _search(self, near: list[int] | tuple[int, ...], i: int, first: int) -> list[int]:
+        """``i``'s balls: B_0, B_1 = ``first``, then each ORs the ``near`` masks of the nodes new in the last, up to B_h."""
+        ball, grown, frontier = self.bit[i], first, 0
+        row = [ball]
         for _ in range(self.h):
-            grown = {}
-            for i, own in self.ends.items():
-                ball = level[i]
-                for peer, _, _ in own:
-                    ball |= level[peer]
-                grown[i] = ball
-            if grown == level:  # no ball grew: every later level repeats this one
+            while frontier:
+                low = frontier & -frontier
+                grown |= near[low.bit_length() - 1]
+                frontier ^= low
+            if grown == ball:
                 break
-            for i, row in self.balls.items():
-                row.append(grown[i])
-            level = grown
-        self.parts: dict[int, Parts] = {}
-        for i, row in self.balls.items():
-            row += [row[-1]] * (self.h + 1 - len(row))
-            self.parts[i] = self._parts(row, self.ends[i], self.degree)
+            frontier, ball = grown ^ ball, grown
+            row.append(ball)
+        return row
 
-    def _parts(self, row: list[int], own: Ends, degree: dict[int, int] | list[int], grown_peer: int = -1) -> Parts:
-        """Parts from balls B_0.. and ends whose peers key ``degree``; hop sums are ``sum over k < h of |class - B_k|``."""
+    def _parts(self, row: list[int], links: int, inverse_degrees: float) -> Parts:
+        """Parts from balls B_0.., a link count and the peers' inverse degrees; hop sums are ``sum over k < h of |class - B_k|``."""
         last = row[-1]
         if last != self.full:
             return 0.0, 0, 0.0, self.n - last.bit_count()
@@ -260,14 +260,8 @@ class _Evaluator:
                 break
             ic_seen += (ball & ic_mask).bit_count()
             seen += ball.bit_count()
-        bridging = 0.0
-        if own:
-            inverse_degrees = 0.0
-            for peer, _, _ in own:
-                inverse_degrees += 1.0 / (degree[peer] + (peer == grown_peer))
-            bridging = (1.0 / len(own)) / inverse_degrees
-        ic_missing = levels * self.n_ic - ic_seen
-        return self.cfg.gamma * ic_missing, levels * (self.n - self.n_ic) - (seen - ic_seen), bridging, 0
+        bridging = (1.0 / links) / inverse_degrees if links else 0.0
+        return self.cfg.gamma * (levels * self.n_ic - ic_seen), levels * (self.n - self.n_ic) - (seen - ic_seen), bridging, 0
 
     def state(self, i: int) -> State:
         """(total cost, number of peers unreachable within h_max) for node ``i``, by exact search."""
@@ -275,21 +269,37 @@ class _Evaluator:
         return _state(_link_cost(self.cfg.alpha, _unit_sums(own)), *self.reach(i, own))
 
     def states(self) -> dict[int, State]:
-        """Every node's state; rebuilds the balls, parts and sums the scans read."""
-        self._rebuild()
+        """Every node's state; rebuilds the balls, ``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``, parts and sums."""
         alpha, gamma, ends, degree, ic_mask = self.cfg.alpha, self.cfg.gamma, self.ends, self.degree, self.ic_mask
+        level, grown = self.bit, dict(zip(self.ids, self.near))  # B_0, and B_1 from the masks
+        self.balls: dict[int, list[int]] = {i: [ball] for i, ball in level.items()}
+        for k in range(self.h):
+            if k:
+                grown = {}
+                for i, own in ends.items():
+                    ball = level[i]
+                    for peer, _, _ in own:
+                        ball |= level[peer]
+                    grown[i] = ball
+            if grown == level:  # no ball grew: every later level repeats this one
+                break
+            for i, row in self.balls.items():
+                row.append(grown[i])
+            level = grown
         n_ic, n_non_ic = self.n_ic, self.n - self.n_ic
         states: dict[int, State] = {}
+        self.parts: dict[int, Parts] = {}
         self.sums: dict[int, _Sums] = {}  # finite states only
-        for i, parts in self.parts.items():
-            own, units = ends[i], _unit_sums(ends[i])
+        for i, row in self.balls.items():
+            row += [row[-1]] * (self.h + 1 - len(row))
+            own = ends[i]
+            units, inverse_degrees = _unit_sums(own), _inverse_degrees(own, degree)
+            parts = self.parts[i] = self._parts(row, len(own), inverse_degrees)
             state = states[i] = _state(_link_cost(alpha, units), *parts)
             if state[0] == math.inf:
                 continue
-            inverse_degrees = far = 0.0
-            for peer, _, _ in own:
-                inverse_degrees += 1.0 / degree[peer]
-            for ball in self.balls[i][2 : self.h]:  # G(i), the weighted hop terms for 2 <= k < h
+            far = 0.0
+            for ball in row[2 : self.h]:  # G(i), the weighted hop terms for 2 <= k < h
                 ic_seen = (ball & ic_mask).bit_count()
                 far += gamma * (n_ic - ic_seen) + (n_non_ic - (ball.bit_count() - ic_seen))
             margin = state[0] * self.tolerance
@@ -301,7 +311,7 @@ class _Evaluator:
         own, row = self.ends[a], self.balls[a]
         at = bisect_left(own, (b,))
         trial = [*own[:at], (b, 0, 0.0), *own[at:]]
-        return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], trial, self.degree, b)
+        return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], len(trial), _inverse_degrees(trial, self.degree, b))
 
     def cut_refuted(self, i: int, end: tuple[int, int, float]) -> bool:
         """The severance certificate: whether cutting ``i``'s link ``end`` provably leaves its finite state no lower.
@@ -336,36 +346,19 @@ class _Evaluator:
         return True
 
     def reach(self, i: int, own: Ends) -> Parts:
-        """``i``'s parts with link ends ``own``, by a bitset BFS over the other nodes' current ends."""
-        ball = self.bit[i]
-        row = [ball]
-        frontier = [j for j, _, _ in own]
-        for _ in range(self.h):
-            reached = []
-            for j in frontier:
-                if not ball & self.bit[j]:
-                    ball |= self.bit[j]
-                    reached += [k for k, _, _ in self.ends[j]]
-            row.append(ball)
-            frontier = reached
-        return self._parts(row, own, self.degree)
+        """``i``'s parts with link ends ``own``, by ``_search`` over the other nodes' current masks."""
+        first = self.bit[i]
+        for j, _, _ in own:
+            first |= self.bit[j]
+        return self._parts(self._search(self.near, i, first), len(own), _inverse_degrees(own, self.degree))
 
     def masked_parts(self, near: tuple[int, ...], i: int) -> Parts:
-        """``i``'s parts when ``near`` holds every node's closed-neighbourhood mask, by rank, by a frontier BFS."""
-        bit = ball = frontier = self.bit[i]
-        row = [ball]
-        for _ in range(self.h):
-            grown = ball
-            while frontier:
-                low = frontier & -frontier
-                grown |= near[low.bit_length() - 1]
-                frontier ^= low
-            if grown == ball:
-                break
-            frontier, ball = grown ^ ball, grown
-            row.append(ball)
-        peers = near[bit.bit_length() - 1] ^ bit  # ends keyed by rank, which orders peers as their ids do
-        return self._parts(row, [(j, 0, 0.0) for j in range(self.n) if peers >> j & 1], [m.bit_count() - 1 for m in near])
+        """``i``'s parts when ``near`` holds every node's closed-neighbourhood mask, by rank, by ``_search`` over them."""
+        first = near[self.rank[i]]
+        peers = first ^ self.bit[i]
+        own = [(j, 0, 0.0) for j in range(self.n) if peers >> j & 1]  # ends keyed by rank, which orders peers as ids do
+        inverse_degrees = _inverse_degrees(own, [mask.bit_count() - 1 for mask in near])
+        return self._parts(self._search(near, i, first), len(own), inverse_degrees)
 
 
 class _Sums(NamedTuple):
@@ -386,6 +379,14 @@ def _unit_sums(ends: Ends) -> dict[int, tuple[float, int]]:
         unit_sum, count = sums.get(r_own, (0.0, 0))
         sums[r_own] = (unit_sum + unit, count + 1)
     return sums
+
+
+def _inverse_degrees(own: Ends, degree: dict[int, int] | list[int], grown_peer: int = -1) -> float:
+    """Sum over ``own``'s peers, in peer order, of 1 / degree, where ``grown_peer`` has one link more than ``degree`` says."""
+    inverse_degrees = 0.0
+    for peer, _, _ in own:
+        inverse_degrees += 1.0 / (degree[peer] + (peer == grown_peer))
+    return inverse_degrees
 
 
 def _link_cost(alpha: float, units: dict[int, tuple[float, int]]) -> float:
@@ -644,11 +645,12 @@ def replay_trace(scenario: Scenario, trace: DynamicsTrace) -> Topology:
 def _subset_masks(evaluator: _Evaluator, pair_order: list[tuple[int, int]]) -> tuple[list[tuple[int, ...]], list[bool]]:
     """Each subset's closed-neighbourhood masks by rank (bit k links ``pair_order[k]``), and whether it is closed.
 
-    Closed means no absent pair joins two of its components: they are those of
-    every pair. A subset's masks and components extend those without its lowest pair.
+    Closed means no absent pair joins two of its components: they are those of every
+    pair. A subset's masks and components extend those without its lowest pair, and
+    the empty subset's masks are those of ``evaluator``, which holds no links.
     """
-    ranks = [(evaluator.bit[a].bit_length() - 1, evaluator.bit[b].bit_length() - 1) for a, b in pair_order]
-    nears = [tuple(evaluator.bit.values())]
+    ranks = [(evaluator.rank[a], evaluator.rank[b]) for a, b in pair_order]
+    nears = [tuple(evaluator.near)]
     components = nears[:]  # each node's component mask, by rank
     for subset in range(1, 1 << len(pair_order)):
         low = subset & -subset

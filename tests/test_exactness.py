@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import random
+import sys
 import time
 from bisect import bisect_left
+from operator import add, or_
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from linkform import game
-from linkform.cli import fixture_path, load_scenario
-from linkform.cost import total_cost
+from linkform.cli import fixture_path, load_scenario, scenario_from_dict
+from linkform.cost import bridging_coefficient, total_cost
 from linkform.game import (
     Add,
     Rejection,
@@ -38,6 +42,9 @@ from linkform.model import IncomparableCostError, Link, Scenario, Topology
 
 from generators import feasible_pairings, fixture_sample_scenario, free_scenario, random_topology
 from oracles import improves_naive, node_state_naive, resolved_delta_naive, stability_oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tiling  # noqa: E402
 
 FIXTURES = [load_scenario(fixture_path(name)) for name in ("smart_home_gamma570.json", "smart_home_gamma600.json")]
 
@@ -208,13 +215,18 @@ def test_stability_equals_oracle_at_small_hop_caps():
 
 
 @functools.cache
-def order_cases():
-    """(scenario, link set) pairs: fixture and severing-family runs, their midpoints, random link sets."""
-    cases = []
+def order_runs():
+    """(scenario, scan seed, final topology, trace) of fixture and severing-family runs of at most 200 moves."""
     runs = [(fixture, seed) for fixture in FIXTURES for seed in (0, 1, 2)]
     runs += [fixture_sample_scenario(seed) for seed in range(6)]
-    for scenario, scan_seed in runs:
-        topology, trace = best_response_dynamics(scenario, seed=scan_seed, max_moves=200)
+    return [(scenario, seed, *best_response_dynamics(scenario, seed=seed, max_moves=200)) for scenario, seed in runs]
+
+
+@functools.cache
+def order_cases():
+    """(scenario, link set) pairs: the ``order_runs``, their midpoints, random link sets."""
+    cases = []
+    for scenario, scan_seed, topology, trace in order_runs():
         middle = Topology.empty(scenario.nodes)
         for step in trace.steps[: len(trace.steps) // 2]:
             middle = applied(middle, step.move)
@@ -233,6 +245,46 @@ def test_states_do_not_depend_on_link_insertion_order():
             rebuilt = evaluator.states()
             assert states[-1] == [(bits(rebuilt[i][0]), rebuilt[i][1]) for i in scenario.ids]
         assert states[0] == states[1]
+
+
+def test_bridging_terms_equal_the_reference_in_peer_order():
+    # the engine sums inverse degrees in ascending peer id order, as cost.bridging_coefficient does; for some
+    # of these nodes the opposite order rounds differently, and a term below the total's last bit can still
+    # flip a near tie, so the parts must match bit for bit, not only the totals
+    reordered = 0
+    for scenario, links in order_cases():
+        topology = Topology(scenario.nodes, frozenset(links))
+        evaluator = game._Evaluator(scenario, links)
+        evaluator.states()
+        for node in scenario.nodes:
+            own, parts = evaluator.ends[node.id], evaluator.parts[node.id]
+            if not parts[3]:
+                expected = bits(bridging_coefficient(node, topology))
+                assert bits(parts[2]) == bits(evaluator.reach(node.id, own)[2]) == expected
+                inverse = [1.0 / evaluator.degree[j] for j, _, _ in own]
+                reordered += functools.reduce(add, inverse, 0.0) != functools.reduce(add, inverse[::-1], 0.0)
+            for j in scenario.ids:
+                if j == node.id or topology.has_pair(node.id, j):
+                    continue
+                grown = evaluator.grown(node.id, j)[1]
+                if not grown[3]:
+                    assert bits(grown[2]) == bits(bridging_coefficient(node, topology.with_link(Link(node.id, 0, j, 0))))
+    assert reordered
+
+
+def test_near_masks_follow_every_toggle():
+    # each node's closed-neighbourhood mask, which the exact search reads, against its ends after every move
+    tiled20 = scenario_from_dict(json.loads(tiling.tiled_bytes(fixture_path("smart_home_gamma570.json"), 2)))
+    runs = [(scenario, trace) for scenario, _, _, trace in order_runs()]
+    runs.append((tiled20, best_response_dynamics(tiled20, seed=2)[1]))
+    assert sum(isinstance(step.move, Remove) for step in runs[-1][1].steps) == 45
+    for scenario, trace in runs:
+        evaluator = game._Evaluator(scenario)
+        for step in trace.steps:
+            evaluator.toggle(step.move.link)
+            for i in scenario.ids:
+                expected = functools.reduce(or_, (evaluator.bit[j] for j, _, _ in evaluator.ends[i]), evaluator.bit[i])
+                assert evaluator.near[evaluator.rank[i]] == expected
 
 
 def test_stability_does_not_depend_on_link_insertion_order():

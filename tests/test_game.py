@@ -343,6 +343,42 @@ def test_an_interface_index_out_of_range_is_a_value_error(iface):
         is_pairwise_stable(topology, scenario.config)
 
 
+def malformed_queries(topology, config):
+    """Every library call that prices ``topology``: the stability check and one query of each kind."""
+    present = min(topology.links)
+    node = topology.node(present.node_a)
+    absent = next(
+        Link(a, option.r_a, b, option.r_b)
+        for (a, b), options in sorted(game.pairing_table(Scenario(topology.nodes, config)).items())
+        for option in options
+        if not topology.has_pair(a, b) and node.id in (a, b)
+    )
+    return [
+        lambda: is_pairwise_stable(topology, config),
+        lambda: delta_cost_remove(node, topology, present, config),
+        lambda: delta_cost_add(node, topology, absent, config),
+        lambda: propose_add(topology, absent.node_a, absent.iface_a, absent.node_b, absent.iface_b, config),
+    ]
+
+
+def test_a_pair_linked_twice_is_a_value_error():
+    # validate_topology rejects this input; the library calls must not price it from a duplicated end
+    fixture = load_scenario(fixture_path("smart_home_gamma570.json"))
+    first, second = game.pairing_table(fixture)[0, 1][:2]
+    topology = Topology(fixture.nodes, frozenset({Link(0, first.r_a, 1, first.r_b), Link(0, second.r_a, 1, second.r_b)}))
+    for query in malformed_queries(topology, fixture.config):
+        with pytest.raises(ValueError, match=re.escape("node pair (0, 1) linked more than once")):
+            query()
+
+
+def test_a_link_to_an_unknown_node_is_a_value_error():
+    fixture = load_scenario(fixture_path("smart_home_gamma570.json"))
+    topology = Topology(fixture.nodes, frozenset({Link(0, 0, 1, 0), Link(0, 0, 99, 0)}))
+    for query in malformed_queries(topology, fixture.config):
+        with pytest.raises(ValueError, match="unknown node id 99"):
+            query()
+
+
 def overflowing_unit_scenario():
     """Two IC nodes 10 km apart whose one pairing fits both power budgets, though node 0's unit cost is inf."""
     radio = make_iface("lr", 1.0e9, 1.0e5, 1.0e12, 1.0e-3)

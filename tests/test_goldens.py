@@ -5,7 +5,8 @@ analyze_small stable sets are entries of ``perfbench/goldens.json``, which the
 benchmark also checks; these tests only read them, and build their inputs
 with the benchmark's own generators. The cycling run's digests are literals,
 recorded before cycles were completed by repetition, and so are the tiled
-n = 60 run's, recorded before the scans' certificates.
+n = 60 runs', recorded before the scans' certificates at scan seed 0 and
+before the single hop search at scan seed 1.
 """
 
 import hashlib
@@ -81,16 +82,29 @@ def test_cycling_run_artifacts_match_recorded_digests(tmp_path, capsys):
     }
 
 
+TILED60_DIGESTS = {
+    # scan seed 0 converges after 392 moves
+    0: {
+        "report.json": "6d4b21246d80c7fa08e313042337516c4fc0a132c9fac8e43be6976ba88fb9c0",
+        "trace.jsonl": "802b4e34429e7e4a1e617926fba5fec9b01f6c619cd4c82b43ade1e216a912db",
+        "topology.json": "7ea10bf96aed9a389106f62fae2eaf0a70cc397efc9f1b78bb2f4f7446ee81ca",
+    },
+    # scan seed 1 converges after 872 moves, 277 of them severances; its scans price 25,442 cuts exactly
+    1: {
+        "report.json": "2d011387d4b9fe0d09b34c0f131deb74ef65952653cbe9a8622bf34617de7b37",
+        "trace.jsonl": "1262d1f8389f9be98e16eda4691d23b0590ab65211dc89e3758709253f8a9097",
+        "topology.json": "5cca99b251d3820784c163756f2a32a55eff1df4aa1842d091471b731544aff5",
+    },
+}
+
+
 def test_tiled60_run_artifacts_match_recorded_digests(tmp_path, capsys):
-    # the 570 fixture tiled 6x converges after 392 moves at scan seed 0
+    # the 570 fixture tiled 6x, at two scan seeds
     data = tiling.tiled_bytes(fixture_path(goldens.TILED_FIXTURE), 6)
     assert tiling.sha256(data) == "cdada5058e6678d7dd2dfa30828de52a8915ba5010396965df68ac27be20ded0"
     scenario = tmp_path / "tiled60.json"
     scenario.write_bytes(data)
-    out = tmp_path / "run"
-    assert main(["run", "--scenario", str(scenario), "--seed", "0", "--out", str(out)]) == 0
-    assert {name: sha256(out / name) for name in ("report.json", "trace.jsonl", "topology.json")} == {
-        "report.json": "6d4b21246d80c7fa08e313042337516c4fc0a132c9fac8e43be6976ba88fb9c0",
-        "trace.jsonl": "802b4e34429e7e4a1e617926fba5fec9b01f6c619cd4c82b43ade1e216a912db",
-        "topology.json": "7ea10bf96aed9a389106f62fae2eaf0a70cc397efc9f1b78bb2f4f7446ee81ca",
-    }
+    for seed, expected in TILED60_DIGESTS.items():
+        out = tmp_path / f"run{seed}"
+        assert main(["run", "--scenario", str(scenario), "--seed", str(seed), "--out", str(out)]) == 0
+        assert {name: sha256(out / name) for name in expected} == expected
