@@ -148,12 +148,8 @@ def pairing_table(scenario: Scenario) -> PairingTable:
 
     Feasible means ``link_feasible`` holds; a unit cost may still be inf.
     Options are ordered by (r_a, r_b); pairs with no feasible pairing are absent.
-    Raises ``ValueError`` naming every issue when ``validate_scenario`` rejects
-    the scenario, so every scenario-level entry point checks it here.
+    The scenario must be valid (``_Geometry.of`` checks it).
     """
-    issues = validate_scenario(scenario.nodes, scenario.config)
-    if issues:
-        raise ValueError("; ".join(str(issue) for issue in issues))
     table: PairingTable = {}
     for a, b in itertools.combinations(scenario.nodes, 2):
         options = []
@@ -164,6 +160,30 @@ def pairing_table(scenario: Scenario) -> PairingTable:
         if options:
             table[(a.id, b.id)] = tuple(options)
     return table
+
+
+class _Geometry:
+    """The pairing table and per-node constants, which the nodes and path-loss exponent fix for any gamma, alpha, h_max."""
+
+    def __init__(self, scenario: Scenario, priced: bool = True):
+        self.nodes, self.path_loss_exponent = scenario.nodes, scenario.config.path_loss_exponent
+        self.pairings = pairing_table(scenario) if priced else {}  # unpriced, an evaluator prices links by _pairing
+        self.ids: tuple[int, ...] = scenario.ids
+        self.rank = {i: rank for rank, i in enumerate(self.ids)}
+        self.bit = {i: 1 << rank for i, rank in self.rank.items()}
+        self.ic_mask, self.n_ic = sum(self.bit[i] for i in scenario.ic_ids), len(scenario.ic_ids)
+
+    @classmethod
+    def of(cls, scenario: Scenario, geometry: _Geometry | None = None) -> _Geometry:
+        """``geometry``, or a new one, after checking ``scenario``; raises ValueError on an issue or on another's geometry."""
+        issues = validate_scenario(scenario.nodes, scenario.config)
+        if issues:
+            raise ValueError("; ".join(str(issue) for issue in issues))
+        if geometry is None:
+            return cls(scenario)
+        if geometry.nodes != scenario.nodes or geometry.path_loss_exponent != scenario.config.path_loss_exponent:
+            raise ValueError("the geometry was built for other nodes or another path_loss_exponent")
+        return geometry
 
 
 class _Evaluator:
@@ -178,17 +198,13 @@ class _Evaluator:
     run in ascending id order, whatever order the links were placed in.
     """
 
-    def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
-        self.cfg = scenario.config
-        self.ids: tuple[int, ...] = scenario.ids
+    def __init__(self, scenario: Scenario, links: Iterable[Link] = (), geometry: _Geometry | None = None):
+        g = geometry or _Geometry(scenario, priced=False)
+        self.cfg, self.node, self.pairings = scenario.config, scenario.node, g.pairings
+        self.ids, self.rank, self.bit, self.ic_mask, self.n_ic = g.ids, g.rank, g.bit, g.ic_mask, g.n_ic
         self.n = len(self.ids)
-        self.node = scenario.node
-        self.rank = {i: rank for rank, i in enumerate(self.ids)}
-        self.bit = {i: 1 << rank for i, rank in self.rank.items()}
         self.near = list(self.bit.values())  # closed-neighbourhood masks by rank, kept by place and remove
         self.full = (1 << self.n) - 1
-        self.ic_mask = sum(self.bit[i] for i in scenario.ic_ids)
-        self.n_ic = len(scenario.ic_ids)
         self.h = min(self.cfg.h_max, max(self.n - 1, 0))
         self.weight = {i: self.cfg.gamma if self.bit[i] & self.ic_mask else 1.0 for i in self.ids}  # a peer's cost per hop
         self.tolerance = self.n**2 * 2.0**-40  # a certificate's margin, relative to the state; the README says why
@@ -201,11 +217,13 @@ class _Evaluator:
     # -- mutable link set -----------------------------------------------------
 
     def place(self, link: Link) -> None:
-        """Add ``link``, priced by its pairing; raises ValueError for an unknown node or a pair that is linked already."""
+        """Add ``link``, priced from the table, else by ``_pairing``; ValueError for an unknown node or a pair linked already."""
         a, b = pair = link.pair
         if pair in self.links:
             raise ValueError(f"node pair {pair} linked more than once")
-        option = _pairing(self.cfg, self.node(a), link.iface_a, self.node(b), link.iface_b)
+        r_a, r_b = link.iface_a, link.iface_b
+        option = next((option for option in self.pairings.get(pair, ()) if option[:2] == (r_a, r_b)), None)
+        option = option or _pairing(self.cfg, self.node(a), r_a, self.node(b), r_b)  # outside the table, e.g. infeasible
         self.links[pair] = link
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
@@ -355,10 +373,11 @@ class _Evaluator:
     def masked_parts(self, near: tuple[int, ...], i: int) -> Parts:
         """``i``'s parts when ``near`` holds every node's closed-neighbourhood mask, by rank, by ``_search`` over them."""
         first = near[self.rank[i]]
-        peers = first ^ self.bit[i]
-        own = [(j, 0, 0.0) for j in range(self.n) if peers >> j & 1]  # ends keyed by rank, which orders peers as ids do
-        inverse_degrees = _inverse_degrees(own, [mask.bit_count() - 1 for mask in near])
-        return self._parts(self._search(near, i, first), len(own), inverse_degrees)
+        peers, inverse_degrees = first ^ self.bit[i], 0.0
+        for j in range(self.n):  # by rank, which orders peers as ids do; a peer's degree is its mask's count less itself
+            if peers >> j & 1:
+                inverse_degrees += 1.0 / (near[j].bit_count() - 1)
+        return self._parts(self._search(near, i, first), peers.bit_count(), inverse_degrees)
 
 
 class _Sums(NamedTuple):
@@ -381,7 +400,7 @@ def _unit_sums(ends: Ends) -> dict[int, tuple[float, int]]:
     return sums
 
 
-def _inverse_degrees(own: Ends, degree: dict[int, int] | list[int], grown_peer: int = -1) -> float:
+def _inverse_degrees(own: Ends, degree: dict[int, int], grown_peer: int = -1) -> float:
     """Sum over ``own``'s peers, in peer order, of 1 / degree, where ``grown_peer`` has one link more than ``degree`` says."""
     inverse_degrees = 0.0
     for peer, _, _ in own:
@@ -438,10 +457,7 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
 
 
 def _additions(
-    evaluator: _Evaluator,
-    base: dict[int, State],
-    pairings: PairingTable,
-    pair_order: Iterable[tuple[int, int]],
+    evaluator: _Evaluator, base: dict[int, State], pair_order: Iterable[tuple[int, int]]
 ) -> Iterator[Add]:
     """The best mutually improving pairing of each absent pair, in pair order.
 
@@ -453,7 +469,7 @@ def _additions(
     pairing, and ``b`` is priced only when ``a`` improves.
     """
     alpha, links, ends, grown = evaluator.cfg.alpha, evaluator.links, evaluator.ends, evaluator.grown
-    refuted = evaluator.join_refuted
+    refuted, pairings = evaluator.join_refuted, evaluator.pairings
     for pair in pair_order:
         if pair in links:
             continue
@@ -547,22 +563,21 @@ def propose_add(
     )
 
 
-def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityReport:
+def is_pairwise_stable(topology: Topology, config: GameConfig, *, geometry: _Geometry | None = None) -> StabilityReport:
     """Full deviation scan: every severance incidence, every absent feasible pairing.
 
     Severances are reported by link, then endpoint; additions by pair, each
-    with its best pairing. Raises ValueError when the scenario is invalid:
-    ``pairing_table`` checks it before the evaluator is built.
+    with its best pairing. Raises ValueError when the scenario is invalid or
+    ``geometry`` is another's (``_Geometry.of``), before the evaluator is built.
     """
     scenario = Scenario(topology.nodes, config)
-    pairings = pairing_table(scenario)
-    evaluator = _Evaluator(scenario, topology.links)
+    evaluator = _Evaluator(scenario, topology.links, _Geometry.of(scenario, geometry))
     base = evaluator.states()
     severance = sorted(
         ((move.initiator, move.link) for move in _severances(evaluator, base, evaluator.ids)),
         key=lambda incidence: (incidence[1], incidence[0]),
     )
-    additions = [move.link for move in _additions(evaluator, base, pairings, sorted(pairings))]
+    additions = [move.link for move in _additions(evaluator, base, sorted(evaluator.pairings))]
     return StabilityReport(
         stable=not severance and not additions,
         severance_violations=tuple(severance),
@@ -571,7 +586,7 @@ def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityRepor
 
 
 def best_response_dynamics(
-    scenario: Scenario, seed: int = 0, max_moves: int = DEFAULT_MAX_MOVES
+    scenario: Scenario, seed: int = 0, max_moves: int = DEFAULT_MAX_MOVES, *, geometry: _Geometry | None = None
 ) -> tuple[Topology, DynamicsTrace]:
     """Run seeded best-response dynamics from the empty topology.
 
@@ -587,13 +602,12 @@ def best_response_dynamics(
     the moves since then forever. It is completed to ``max_moves`` by
     repeating those steps, byte for byte what scanning them would give. A
     repeated topology hash is confirmed link by link before it counts.
-    Raises ValueError when the scenario is invalid: ``pairing_table`` checks
-    it before the evaluator is built.
+    Raises ValueError when the scenario is invalid or ``geometry`` is
+    another's (``_Geometry.of``), before the evaluator is built.
     """
-    pairings = pairing_table(scenario)
-    evaluator = _Evaluator(scenario)
+    evaluator = _Evaluator(scenario, geometry=_Geometry.of(scenario, geometry))
     node_order = list(evaluator.ids)
-    pair_order = sorted(pairings)
+    pair_order = sorted(evaluator.pairings)
     if seed != 0:
         rng = random.Random(seed)
         rng.shuffle(node_order)
@@ -606,7 +620,7 @@ def best_response_dynamics(
     while len(steps) < max_moves:
         deviations = itertools.chain(
             _severances(evaluator, base, node_order),
-            _additions(evaluator, base, pairings, pair_order),
+            _additions(evaluator, base, pair_order),
         )
         move = next(deviations, None)
         if move is None:
@@ -677,13 +691,13 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     the node, the move, its linked pairs and its parts before and after recur.
     S is skipped when an absent pair improves both ends at every pair of their
     combinations. Refuses scenarios over ``max_nodes``: masks grow as 2^pairs.
-    Raises ValueError when the scenario is invalid: ``pairing_table`` checks it.
+    Raises ValueError when the scenario is invalid (``_Geometry.of``).
     """
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
-    pairings = pairing_table(scenario)
+    evaluator = _Evaluator(scenario, geometry=_Geometry.of(scenario))
+    pairings = evaluator.pairings
     pair_order = sorted(pairings)
-    evaluator = _Evaluator(scenario)
     nears, closed = _subset_masks(evaluator, pair_order)
     mine = {i: [k for k, pair in enumerate(pair_order) if i in pair] for i in scenario.ids}  # in peer order
     sides: dict[tuple[int, int], list[tuple[int, int, float]]] = {}  # (node, k): its end of pair k, per pairing

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from generators import clique_suite_scenario, free_scenario, random_graph_scenario, random_topology, uplink_suite_scenario
+from linkform import game
 from linkform.cli import (
     ScenarioFormatError,
     _parse_gamma_range,
@@ -47,6 +48,18 @@ REPORT_KEYS = {
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_a_command_builds_one_pairing_table(monkeypatch, tmp_path):
+    # the table depends only on the nodes and the path-loss exponent, so one serves every run, check and criterion
+    builds, table = [], game.pairing_table
+    monkeypatch.setattr(game, "pairing_table", lambda scenario: builds.append(scenario.config.gamma) or table(scenario))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--scenario", FIXTURE_570, "--gamma", "560:570:10", "--seeds", "2", "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2 and builds == [570.0]
+    builds.clear()
+    assert run_cli("run", "--scenario", FIXTURE_570, "--out", str(tmp_path / "run")) == 0
+    assert builds == [570.0]
 
 
 def test_run_gamma570_fixture(tmp_path):
