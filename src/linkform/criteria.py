@@ -173,7 +173,10 @@ CRITERIA_NOTES = (
 
 
 def criteria_report(scenario: Scenario, *, geometry: _Geometry | None = None) -> CriteriaReport:
-    """All three criteria; raises ValueError for an invalid scenario or another's ``geometry`` (``_Geometry.of``)."""
+    """All three criteria; raises ValueError for an invalid scenario or another's ``geometry`` (``_Geometry.of``).
+
+    ``geometry`` is internal to the CLI, which shares one per command.
+    """
     pairings = _Geometry.of(scenario, geometry).pairings
     clique = _clique_witnesses(scenario, pairings)
     uplinks = itertools.product(scenario.ic_ids, scenario.non_ic_ids)

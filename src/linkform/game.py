@@ -163,15 +163,15 @@ def pairing_table(scenario: Scenario) -> PairingTable:
 
 
 class _Geometry:
-    """The pairing table and per-node constants, which the nodes and path-loss exponent fix for any gamma, alpha, h_max."""
+    """The pairing table, which the nodes and path-loss exponent fix for any gamma, alpha, h_max or scan seed.
 
-    def __init__(self, scenario: Scenario, priced: bool = True):
+    Internal to the CLI: each command builds one and passes it to every call
+    it makes. Library callers leave the ``geometry`` keyword out.
+    """
+
+    def __init__(self, scenario: Scenario):
         self.nodes, self.path_loss_exponent = scenario.nodes, scenario.config.path_loss_exponent
-        self.pairings = pairing_table(scenario) if priced else {}  # unpriced, an evaluator prices links by _pairing
-        self.ids: tuple[int, ...] = scenario.ids
-        self.rank = {i: rank for rank, i in enumerate(self.ids)}
-        self.bit = {i: 1 << rank for i, rank in self.rank.items()}
-        self.ic_mask, self.n_ic = sum(self.bit[i] for i in scenario.ic_ids), len(scenario.ic_ids)
+        self.pairings = pairing_table(scenario)
 
     @classmethod
     def of(cls, scenario: Scenario, geometry: _Geometry | None = None) -> _Geometry:
@@ -198,13 +198,18 @@ class _Evaluator:
     run in ascending id order, whatever order the links were placed in.
     """
 
-    def __init__(self, scenario: Scenario, links: Iterable[Link] = (), geometry: _Geometry | None = None):
-        g = geometry or _Geometry(scenario, priced=False)
-        self.cfg, self.node, self.pairings = scenario.config, scenario.node, g.pairings
-        self.ids, self.rank, self.bit, self.ic_mask, self.n_ic = g.ids, g.rank, g.bit, g.ic_mask, g.n_ic
+    def __init__(self, scenario: Scenario, links: Iterable[Link] = (), pairings: PairingTable | None = None):
+        self.cfg = scenario.config
+        self.ids: tuple[int, ...] = scenario.ids
         self.n = len(self.ids)
+        self.node = scenario.node
+        self.pairings = pairings or {}  # prices the links place finds in it; _pairing prices any other
+        self.rank = {i: rank for rank, i in enumerate(self.ids)}
+        self.bit = {i: 1 << rank for i, rank in self.rank.items()}
         self.near = list(self.bit.values())  # closed-neighbourhood masks by rank, kept by place and remove
         self.full = (1 << self.n) - 1
+        self.ic_mask = sum(self.bit[i] for i in scenario.ic_ids)
+        self.n_ic = len(scenario.ic_ids)
         self.h = min(self.cfg.h_max, max(self.n - 1, 0))
         self.weight = {i: self.cfg.gamma if self.bit[i] & self.ic_mask else 1.0 for i in self.ids}  # a peer's cost per hop
         self.tolerance = self.n**2 * 2.0**-40  # a certificate's margin, relative to the state; the README says why
@@ -457,7 +462,10 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
 
 
 def _additions(
-    evaluator: _Evaluator, base: dict[int, State], pair_order: Iterable[tuple[int, int]]
+    evaluator: _Evaluator,
+    base: dict[int, State],
+    pairings: PairingTable,
+    pair_order: Iterable[tuple[int, int]],
 ) -> Iterator[Add]:
     """The best mutually improving pairing of each absent pair, in pair order.
 
@@ -469,7 +477,7 @@ def _additions(
     pairing, and ``b`` is priced only when ``a`` improves.
     """
     alpha, links, ends, grown = evaluator.cfg.alpha, evaluator.links, evaluator.ends, evaluator.grown
-    refuted, pairings = evaluator.join_refuted, evaluator.pairings
+    refuted = evaluator.join_refuted
     for pair in pair_order:
         if pair in links:
             continue
@@ -569,15 +577,17 @@ def is_pairwise_stable(topology: Topology, config: GameConfig, *, geometry: _Geo
     Severances are reported by link, then endpoint; additions by pair, each
     with its best pairing. Raises ValueError when the scenario is invalid or
     ``geometry`` is another's (``_Geometry.of``), before the evaluator is built.
+    ``geometry`` is internal to the CLI, which shares one per command.
     """
     scenario = Scenario(topology.nodes, config)
-    evaluator = _Evaluator(scenario, topology.links, _Geometry.of(scenario, geometry))
+    pairings = _Geometry.of(scenario, geometry).pairings
+    evaluator = _Evaluator(scenario, topology.links, pairings)
     base = evaluator.states()
     severance = sorted(
         ((move.initiator, move.link) for move in _severances(evaluator, base, evaluator.ids)),
         key=lambda incidence: (incidence[1], incidence[0]),
     )
-    additions = [move.link for move in _additions(evaluator, base, sorted(evaluator.pairings))]
+    additions = [move.link for move in _additions(evaluator, base, pairings, sorted(pairings))]
     return StabilityReport(
         stable=not severance and not additions,
         severance_violations=tuple(severance),
@@ -604,10 +614,12 @@ def best_response_dynamics(
     repeated topology hash is confirmed link by link before it counts.
     Raises ValueError when the scenario is invalid or ``geometry`` is
     another's (``_Geometry.of``), before the evaluator is built.
+    ``geometry`` is internal to the CLI, which shares one per command.
     """
-    evaluator = _Evaluator(scenario, geometry=_Geometry.of(scenario, geometry))
+    pairings = _Geometry.of(scenario, geometry).pairings
+    evaluator = _Evaluator(scenario, pairings=pairings)
     node_order = list(evaluator.ids)
-    pair_order = sorted(evaluator.pairings)
+    pair_order = sorted(pairings)
     if seed != 0:
         rng = random.Random(seed)
         rng.shuffle(node_order)
@@ -620,7 +632,7 @@ def best_response_dynamics(
     while len(steps) < max_moves:
         deviations = itertools.chain(
             _severances(evaluator, base, node_order),
-            _additions(evaluator, base, pair_order),
+            _additions(evaluator, base, pairings, pair_order),
         )
         move = next(deviations, None)
         if move is None:
@@ -695,9 +707,9 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     """
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
-    evaluator = _Evaluator(scenario, geometry=_Geometry.of(scenario))
-    pairings = evaluator.pairings
+    pairings = _Geometry.of(scenario).pairings
     pair_order = sorted(pairings)
+    evaluator = _Evaluator(scenario, pairings=pairings)
     nears, closed = _subset_masks(evaluator, pair_order)
     mine = {i: [k for k, pair in enumerate(pair_order) if i in pair] for i in scenario.ids}  # in peer order
     sides: dict[tuple[int, int], list[tuple[int, int, float]]] = {}  # (node, k): its end of pair k, per pairing

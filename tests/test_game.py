@@ -448,7 +448,7 @@ def test_pairing_table_holds_exactly_the_feasible_pairings(monkeypatch):
         table = {pair: [option[:2] for option in options] for pair, options in geometry.pairings.items()}
         assert table == feasible_pairings(scenario)
         # the evaluator places a table link from its option, and prices any other link through _pairing
-        evaluator = game._Evaluator(scenario, geometry=geometry)
+        evaluator = game._Evaluator(scenario, pairings=geometry.pairings)
         for node_a, node_b in itertools.combinations(scenario.nodes, 2):
             a, b = node_a.id, node_b.id
             for r_a, r_b in itertools.product(range(len(node_a.interfaces)), range(len(node_b.interfaces))):

@@ -1,13 +1,14 @@
 """Alternating A/B pairs of the benchmark: a parent revision against the working tree.
 
-    python3 tools/ab_pairs.py --parent REV --workload NAME [--workload NAME ...]
-                              [--pairs 10] [--seconds 10] [--seed 0] [--work DIR]
+    python3 tools/ab_pairs.py --parent REV --workload NAME [--workload NAME ...] [--seed 0] [--work DIR]
 
 The parent's files come from ``git archive REV`` and the change's from a copy
 of the working tree (tracked and untracked files that git does not ignore),
 each in its own temporary directory. Per pair and workload it runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` once
-on each side, with PYTHONDONTWRITEBYTECODE=1 and every ``__pycache__``
+on each side, where T is BENCHMARK.json's ``run_seconds``, the run length the
+benchmark itself uses, for 10 pairs, the fewest that a claimed gain is judged
+on. It runs with PYTHONDONTWRITEBYTECODE=1 and every ``__pycache__``
 removed first, so both sides compile their sources afresh. The side that runs
 first alternates by pair, starting with the parent. Progress goes to stderr;
 stdout gets one JSON object with each workload's per-pair end-to-end metrics,
@@ -31,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("wall_s", "setup_s")  # BENCHMARK.json's end-to-end metrics, lower is better
+PAIRS = 10
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def export_parent(rev: str, into: Path) -> None:
@@ -53,13 +56,13 @@ def copy_working_tree(into: Path) -> None:
             shutil.copy2(source, into / name)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in ``checkout``: its result line."""
     for cache in list(checkout.rglob("__pycache__")):
         shutil.rmtree(cache)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -86,18 +89,18 @@ def summary(parent: list[float], change: list[float]) -> dict:
     }
 
 
-def pairs(sides: dict[str, Path], workload: str, args: argparse.Namespace) -> dict:
+def pairs(sides: dict[str, Path], workload: str, seed: int) -> dict:
     results: dict[str, list[dict]] = {side: [] for side in sides}
-    parent_first = [pair % 2 == 0 for pair in range(args.pairs)]
+    parent_first = [pair % 2 == 0 for pair in range(PAIRS)]
     for pair, first in enumerate(parent_first):
         for side in ("parent", "change") if first else ("change", "parent"):
-            result = run_once(sides[side], workload, args.seed, args.seconds)
+            result = run_once(sides[side], workload, seed)
             results[side].append(result)
             wall = result["metrics"]["wall_s"]["value"]
-            print(f"{workload} pair {pair + 1}/{args.pairs} {side}: wall_s {wall:.5f}", file=sys.stderr)
+            print(f"{workload} pair {pair + 1}/{PAIRS} {side}: wall_s {wall:.5f}", file=sys.stderr)
     record = {
-        "pairs": args.pairs,
-        "workload_seed": args.seed,
+        "pairs": PAIRS,
+        "workload_seed": seed,
         "parent_first": parent_first,
         "failed": {side: sum(result["failed"] for result in runs) for side, runs in results.items()},
         "attempted": {side: sum(result["attempted"] for result in runs) for side, runs in results.items()},
@@ -113,23 +116,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against, e.g. HEAD")
     parser.add_argument("--workload", required=True, action="append", help="a perfbench workload; repeatable")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--work", default=None, help="where the two temporary checkouts go (default: the system's)")
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
     with tempfile.TemporaryDirectory(prefix="ab-pairs-", dir=args.work) as work:
         sides = {"parent": Path(work) / "parent", "change": Path(work) / "change"}
         for checkout in sides.values():
             checkout.mkdir()
         export_parent(args.parent, sides["parent"])
         copy_working_tree(sides["change"])
-        workloads = {workload: pairs(sides, workload, args) for workload in args.workload}
+        workloads = {workload: pairs(sides, workload, args.seed) for workload in args.workload}
     method = (
-        f"parent from `git archive {args.parent}`, change from a copy of the working tree; per pair, "
-        f"`python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0` on each side "
+        f"`python3 tools/ab_pairs.py --parent {args.parent} "
+        + "".join(f"--workload {workload} " for workload in args.workload)
+        + f"--seed {args.seed}`: parent from `git archive {args.parent}`, change from a copy of the working tree; per pair, "
+        f"`python3 perfbench/run.py --workload W --seed {args.seed} --seconds {SECONDS:g} --trace 0` on each side "
         "with PYTHONDONTWRITEBYTECODE=1 and __pycache__ removed before each run, the side that runs first alternating "
         "by pair (parent_first lists it); quartiles by statistics.quantiles(n=4, method='inclusive')"
     )
