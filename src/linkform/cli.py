@@ -238,9 +238,7 @@ def trace_to_jsonl(trace: DynamicsTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def build_run_report(
-    scenario: Scenario, seed: int, topology: Topology, trace: DynamicsTrace, *, geometry: _Geometry | None = None
-) -> dict:
+def build_run_report(scenario: Scenario, seed: int, topology: Topology, trace: DynamicsTrace, geometry: _Geometry) -> dict:
     stability = is_pairwise_stable(topology, scenario.config, geometry=geometry)
     costs = {node.id: total_cost(node, topology, scenario.config) for node in scenario.nodes}
     return {
@@ -327,7 +325,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     geometry = _Geometry(scenario)  # one pairing table for the dynamics, the stability check and the criteria
     topology, trace = best_response_dynamics(scenario, seed=args.seed, max_moves=args.max_moves, geometry=geometry)
-    report = build_run_report(scenario, args.seed, topology, trace, geometry=geometry)
+    report = build_run_report(scenario, args.seed, topology, trace, geometry)
     artifacts = {
         "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n",
         "trace.jsonl": trace_to_jsonl(trace),

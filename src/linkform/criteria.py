@@ -173,10 +173,7 @@ CRITERIA_NOTES = (
 
 
 def criteria_report(scenario: Scenario, *, geometry: _Geometry | None = None) -> CriteriaReport:
-    """All three criteria; raises ValueError for an invalid scenario or another's ``geometry`` (``_Geometry.of``).
-
-    ``geometry`` is internal to the CLI, which shares one per command.
-    """
+    """All three criteria; ValueError for an invalid scenario or another's ``geometry`` (CLI-internal; ``_Geometry.of``)."""
     pairings = _Geometry.of(scenario, geometry).pairings
     clique = _clique_witnesses(scenario, pairings)
     uplinks = itertools.product(scenario.ic_ids, scenario.non_ic_ids)

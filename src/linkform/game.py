@@ -163,11 +163,7 @@ def pairing_table(scenario: Scenario) -> PairingTable:
 
 
 class _Geometry:
-    """The pairing table, which the nodes and path-loss exponent fix for any gamma, alpha, h_max or scan seed.
-
-    Internal to the CLI: each command builds one and passes it to every call
-    it makes. Library callers leave the ``geometry`` keyword out.
-    """
+    """The pairing table, fixed by the nodes and path-loss exponent for any gamma, alpha, h_max; one per CLI command."""
 
     def __init__(self, scenario: Scenario):
         self.nodes, self.path_loss_exponent = scenario.nodes, scenario.config.path_loss_exponent
@@ -179,8 +175,7 @@ class _Geometry:
         issues = validate_scenario(scenario.nodes, scenario.config)
         if issues:
             raise ValueError("; ".join(str(issue) for issue in issues))
-        if geometry is None:
-            return cls(scenario)
+        geometry = geometry or cls(scenario)
         if geometry.nodes != scenario.nodes or geometry.path_loss_exponent != scenario.config.path_loss_exponent:
             raise ValueError("the geometry was built for other nodes or another path_loss_exponent")
         return geometry
@@ -198,12 +193,11 @@ class _Evaluator:
     run in ascending id order, whatever order the links were placed in.
     """
 
-    def __init__(self, scenario: Scenario, links: Iterable[Link] = (), pairings: PairingTable | None = None):
+    def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
         self.cfg = scenario.config
         self.ids: tuple[int, ...] = scenario.ids
         self.n = len(self.ids)
         self.node = scenario.node
-        self.pairings = pairings or {}  # prices the links place finds in it; _pairing prices any other
         self.rank = {i: rank for rank, i in enumerate(self.ids)}
         self.bit = {i: 1 << rank for i, rank in self.rank.items()}
         self.near = list(self.bit.values())  # closed-neighbourhood masks by rank, kept by place and remove
@@ -222,13 +216,11 @@ class _Evaluator:
     # -- mutable link set -----------------------------------------------------
 
     def place(self, link: Link) -> None:
-        """Add ``link``, priced from the table, else by ``_pairing``; ValueError for an unknown node or a pair linked already."""
+        """Add ``link``, priced by its pairing; raises ValueError for an unknown node or a pair that is linked already."""
         a, b = pair = link.pair
         if pair in self.links:
             raise ValueError(f"node pair {pair} linked more than once")
-        r_a, r_b = link.iface_a, link.iface_b
-        option = next((option for option in self.pairings.get(pair, ()) if option[:2] == (r_a, r_b)), None)
-        option = option or _pairing(self.cfg, self.node(a), r_a, self.node(b), r_b)  # outside the table, e.g. infeasible
+        option = _pairing(self.cfg, self.node(a), link.iface_a, self.node(b), link.iface_b)
         self.links[pair] = link
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
@@ -576,12 +568,11 @@ def is_pairwise_stable(topology: Topology, config: GameConfig, *, geometry: _Geo
 
     Severances are reported by link, then endpoint; additions by pair, each
     with its best pairing. Raises ValueError when the scenario is invalid or
-    ``geometry`` is another's (``_Geometry.of``), before the evaluator is built.
-    ``geometry`` is internal to the CLI, which shares one per command.
+    ``geometry``, which only the CLI passes, is another's (``_Geometry.of``).
     """
     scenario = Scenario(topology.nodes, config)
     pairings = _Geometry.of(scenario, geometry).pairings
-    evaluator = _Evaluator(scenario, topology.links, pairings)
+    evaluator = _Evaluator(scenario, topology.links)
     base = evaluator.states()
     severance = sorted(
         ((move.initiator, move.link) for move in _severances(evaluator, base, evaluator.ids)),
@@ -612,12 +603,11 @@ def best_response_dynamics(
     the moves since then forever. It is completed to ``max_moves`` by
     repeating those steps, byte for byte what scanning them would give. A
     repeated topology hash is confirmed link by link before it counts.
-    Raises ValueError when the scenario is invalid or ``geometry`` is
-    another's (``_Geometry.of``), before the evaluator is built.
-    ``geometry`` is internal to the CLI, which shares one per command.
+    Raises ValueError when the scenario is invalid or ``geometry``, which
+    only the CLI passes, is another's (``_Geometry.of``).
     """
     pairings = _Geometry.of(scenario, geometry).pairings
-    evaluator = _Evaluator(scenario, pairings=pairings)
+    evaluator = _Evaluator(scenario)
     node_order = list(evaluator.ids)
     pair_order = sorted(pairings)
     if seed != 0:
@@ -709,7 +699,7 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
     pairings = _Geometry.of(scenario).pairings
     pair_order = sorted(pairings)
-    evaluator = _Evaluator(scenario, pairings=pairings)
+    evaluator = _Evaluator(scenario)
     nears, closed = _subset_masks(evaluator, pair_order)
     mine = {i: [k for k, pair in enumerate(pair_order) if i in pair] for i in scenario.ids}  # in peer order
     sides: dict[tuple[int, int], list[tuple[int, int, float]]] = {}  # (node, k): its end of pair k, per pairing
