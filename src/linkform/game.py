@@ -420,6 +420,31 @@ def _state(link_cost: float, gic: float, non_ic: int, bridging: float, unreachab
     return (link_cost + gic + non_ic + bridging, 0)
 
 
+def _interface_bounds(alpha: float, linked: list[Ends]) -> tuple[dict, dict, float]:
+    """Per own interface r, as ``_unit_sums`` gives them, over a node's linked pairs (each its ends per pairing):
+    (top_r, most_r) from the largest unit on r of each pair with a pairing on r, (low_r, least_r) from the smallest
+    unit of each pair with every pairing on r. Then the largest link cost over the pairs' pairing combinations."""
+    interfaces = [{r for _, r, _ in ends} for ends in linked]
+    tops = _unit_sums([(0, r, max(u for _, s, u in ends if s == r)) for ends, on in zip(linked, interfaces) for r in on])
+    lows = _unit_sums([min(ends, key=lambda end: end[2]) for ends, on in zip(linked, interfaces) if len(on) == 1])
+    return tops, lows, _link_cost(alpha, tops)
+
+
+def _join_certificates(alpha: float, tolerance: float, bounds: tuple, before: Parts, after: Parts, ends: Ends) -> tuple[int, int]:
+    """Masks of a new link's pairings (``ends``) that improve a node at every, and maybe at some, pairing combination of
+    its links, from ``_interface_bounds`` and its parts before and after; (0, all) with a peer out of reach."""
+    if before[3] or after[3]:
+        return 0, -1
+    (tops, lows, most_cost), held = bounds, before[0] + before[1] + before[2]
+    gain, margin = held - (after[0] + after[1] + after[2]), tolerance * (most_cost + held)  # inf when a linked unit is
+    accepted = possible = 0
+    for j, (_, r, unit) in enumerate(ends):
+        (top, most), (low, least) = tops.get(r, (0.0, 0)), lows.get(r, (0.0, 0))
+        accepted |= (alpha * (top + (most + 1) * unit) + margin < gain) << j
+        possible |= (not alpha * (low + (least + 1) * unit) - margin > gain) << j
+    return accepted, possible
+
+
 def _resolved_delta(before: State, after: State) -> float:
     """Signed delta of an improvement ``after < before``; one between two infinite states resolves to -inf."""
     return -math.inf if math.isinf(before[0]) and math.isinf(after[0]) else after[0] - before[0]
@@ -685,15 +710,14 @@ def _subset_masks(evaluator: _Evaluator, pair_order: list[tuple[int, int]]) -> t
 def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topology]:
     """Enumerate every feasible topology and keep the pairwise-stable ones.
 
-    Only closed subsets S of feasible pairs are walked: otherwise an absent pair
-    joins two components, which improves both ends. Parts do not depend on
-    pairings: adding pair ``p`` gives its ends their parts at ``S | p``,
-    severing it at ``S - p``, read on demand from the subset's masks. Verdicts
-    are priced per pairing combination of a node's links, and reused wherever
-    the node, the move, its linked pairs and its parts before and after recur.
-    S is skipped when an absent pair improves both ends at every pair of their
-    combinations. Refuses scenarios over ``max_nodes``: masks grow as 2^pairs.
-    Raises ValueError when the scenario is invalid (``_Geometry.of``).
+    Only closed subsets S of feasible pairs are walked: otherwise an absent pair joins two components, which
+    improves both ends. Parts do not depend on pairings: adding pair ``p`` gives its ends their parts at ``S | p``,
+    severing it at ``S - p``, read on demand from the subset's masks. S is skipped when an absent pair improves
+    both ends at every pair of their combinations. Certificates (``_join_certificates``) decide that first, from
+    the ends' parts and bounds on their link costs. What they leave is priced per pairing combination of a node's
+    links, in rows reused wherever the node, the move, its linked pairs and its parts before and after recur; a
+    pair they show blocks at no combination is dropped. Refuses scenarios over ``max_nodes``: masks grow as
+    2^pairs. Raises ValueError when the scenario is invalid (``_Geometry.of``).
     """
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
@@ -706,13 +730,17 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     for k, (a, b) in enumerate(pair_order):
         sides[a, k] = [(b, option.r_a, option.unit_a) for option in pairings[a, b]]
         sides[b, k] = [(a, option.r_b, option.unit_b) for option in pairings[a, b]]
-    link_cost = functools.cache(lambda ends: _link_cost(scenario.config.alpha, _unit_sums(ends)))  # by a node's ends
+    alpha, tolerance = scenario.config.alpha, evaluator.tolerance
+    link_cost = functools.cache(lambda ends: _link_cost(alpha, _unit_sums(ends)))  # by a node's ends
+    owned = {i: sum(1 << k for k in own) for i, own in mine.items()}
+    bounds = functools.cache(lambda i, linked: _interface_bounds(alpha, [sides[i, k] for k in mine[i] if linked >> k & 1]))
     parts = functools.cache(lambda subset, i: evaluator.masked_parts(nears[subset], i))  # by subset and node
     combos = functools.cache(lambda i, linked: [  # (pairing indices, ends) per pairing combination of i's pairs in S
         (tuple(j for j, _ in combo), tuple(end for _, end in combo))
         for combo in itertools.product(*(enumerate(sides[i, cut]) for cut in linked))
     ])
     memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}  # verdicts within one subset
+    refuted: set[int] = set()  # absent pairs that block at no pairing combination, within one subset
 
     @functools.cache  # verdict rows by everything they read, shared across subsets
     def priced(i: int, k: int, linked: tuple[int, ...], before_parts: Parts, after_parts: tuple) -> dict:
@@ -737,6 +765,16 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
         return memo[i, k]
 
     def blocks(k: int, subset: int) -> bool:  # absent k improves both ends at every combination pair
+        accepted = possible = -1  # k's pairings, by the certificates of the ends read so far
+        for i in pair_order[k]:
+            before, after = parts(subset, i), parts(subset | 1 << k, i)
+            at = _join_certificates(alpha, tolerance, bounds(i, subset & owned[i]), before, after, sides[i, k])
+            accepted, possible = accepted & at[0], possible & at[1]
+            if not possible:
+                refuted.add(k)
+                return False
+        if accepted:
+            return True
         masks = verdicts(pair_order[k][0], k, subset).values()
         return all(masks) and all(x & y for y in verdicts(pair_order[k][1], k, subset).values() for x in masks)
 
@@ -744,12 +782,13 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     blockers = list(range(len(pair_order)))  # the pair that blocked most recently first
     for subset in itertools.compress(range(len(nears)), closed):
         memo.clear()
+        refuted.clear()
         blocker = next((k for k in blockers if not subset >> k & 1 and blocks(k, subset)), None)
         if blocker is not None:
             blockers.insert(0, blockers.pop(blockers.index(blocker)))
             continue
         linked = [k for k in range(len(pair_order)) if subset >> k & 1]
-        absent = [pair_order[k] + (k,) for k in blockers if not subset >> k & 1]
+        absent = [pair_order[k] + (k,) for k in blockers if not subset >> k & 1 and k not in refuted]
         for choice in itertools.product(*(range(len(pairings[pair_order[k]])) for k in linked)):
             pick = dict(zip(linked, choice))
             combo = {i: tuple(pick[k] for k in own if k in pick) for i, own in mine.items()}

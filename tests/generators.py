@@ -20,6 +20,8 @@ from linkform.criteria import clique_criterion, single_ic_link_criterion, star_c
 from linkform.model import GameConfig, InterfaceSpec, Link, Node, Scenario, Topology
 from linkform.propagation import link_feasible
 
+from conftest import make_iface, make_node
+
 LR_FREQ = 1.0e9
 LR_K = (4.0 * 3.141592653589793 * LR_FREQ / 299_792_458.0) ** 2  # sigma = S * K * d^2
 
@@ -279,3 +281,48 @@ def random_graph_scenario(seed: int) -> tuple[Scenario, Topology, int, int]:
     topology = Topology(nodes, frozenset(links))
     target = rng.randrange(total - 1)
     return scenario, topology, joiner, target
+
+
+MESH = make_iface("mesh", 1.0e9, 1.0e6, 1.0, 1e-9)
+
+
+def pinned_order_nodes() -> tuple[Node, ...]:
+    """Five mesh nodes, three with two radios, so several pairs have several pairings."""
+    rhos = (1e4, 1e2, 1e3, 1e3, 1e4)
+    radios = (2, 2, 1, 1, 2)
+    positions = ((0.0, 0.0), (20.0, 0.0), (20.0, 20.0), (0.0, 20.0), (40.0, 10.0))
+    return tuple(make_node(i, positions[i], (MESH,) * radios[i], rho=rhos[i]) for i in range(5))
+
+
+def multi_radio_scenario() -> Scenario:
+    """The first four ``pinned_order_nodes``: pair (0, 1) has four pairings, on different own interfaces."""
+    return Scenario(pinned_order_nodes()[:4], GameConfig(gamma=10.0))
+
+
+def split_scenario() -> Scenario:
+    """Two clusters that no radio bridges: every state is infinite and the count rule decides."""
+    spots = ((0.0, 0.0), (20.0, 0.0), (10.0, 15.0), (1000.0, 0.0), (1020.0, 0.0))
+    return Scenario(
+        tuple(make_node(i, spot, (MESH,) * (2 if i < 2 else 1), ic=i in (0, 3)) for i, spot in enumerate(spots)),
+        GameConfig(gamma=10.0),
+    )
+
+
+def isolated_scenario() -> Scenario:
+    """Four mesh nodes, every pair feasible, and node 4 with no feasible pair: every state is infinite."""
+    spots = ((0.0, 0.0), (20.0, 0.0), (10.0, 15.0), (30.0, 10.0), (5000.0, 0.0))
+    return Scenario(
+        tuple(make_node(i, spot, (MESH,), ic=i in (0, 2)) for i, spot in enumerate(spots)), GameConfig(gamma=10.0)
+    )
+
+
+def overflowing_unit_scenario(count: int = 2) -> Scenario:
+    """``count`` (2 or 3) nodes 10 km apart, the first two IC. Each pair has one pairing, which fits both power
+    budgets, though node 0's unit cost on it is inf."""
+    radio = make_iface("lr", 1.0e9, 1.0e5, 1.0e12, 1.0e-3)
+    nodes = (
+        make_node(0, (0.0, 0.0), (radio,), b_min=1.0e6, rho=1.0e300, ic=True),
+        make_node(1, (1.0e4, 0.0), (radio,), b_min=1.0e6, ic=True),
+        make_node(2, (5.0e3, 8.66e3), (radio,), b_min=1.0e6),
+    )
+    return Scenario(nodes[:count], GameConfig(gamma=10.0))

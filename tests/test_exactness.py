@@ -7,13 +7,16 @@ stability check must report exactly the oracle's deviations, on both a
 family that severs links (``fixture_sample_scenario``) and one that does not
 (``free_scenario``). So must every single-deviation query, and the parts
 that the enumeration reads from each pair subset's neighbourhood masks must
-equal the engine's grown and severed parts.
+equal the engine's grown and severed parts, and its addition certificates must
+agree with exact pricing at every pairing combination they decide.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
+import itertools
 import json
 import random
 import sys
@@ -40,7 +43,16 @@ from linkform.game import (
 )
 from linkform.model import IncomparableCostError, Link, Scenario, Topology
 
-from generators import feasible_pairings, fixture_sample_scenario, free_scenario, random_topology
+from generators import (
+    feasible_pairings,
+    fixture_sample_scenario,
+    free_scenario,
+    isolated_scenario,
+    multi_radio_scenario,
+    overflowing_unit_scenario,
+    random_topology,
+    split_scenario,
+)
 from oracles import improves_naive, node_state_naive, resolved_delta_naive, stability_oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -199,6 +211,48 @@ def test_parts_table_equals_grown_and_severed():
             # skipped exactly when an absent feasible pair joins two components
             label = components(scenario.ids, linked)
             assert closed[subset] == all(label[a] == label[b] for a, b in pair_order)
+
+
+def test_join_certificates_agree_with_exact_pricing():
+    # for every closed subset, node and absent pair of the node: each pairing of the pair that the certificates
+    # accept improves the node at every pairing combination of its links, and each they rule out at none
+    scenarios = [free_scenario(seed, max_nodes=4) for seed in range(8)]
+    scenarios += [multi_radio_scenario(), split_scenario(), isolated_scenario()]
+    cases = [Scenario(s.nodes, dataclasses.replace(s.config, h_max=h_max)) for s in scenarios for h_max in (1, 2, 5)]
+    cases += [overflowing_unit_scenario(), overflowing_unit_scenario(3)]
+    decided = collections.Counter()
+    for scenario in cases:
+        alpha, pairings = scenario.config.alpha, game.pairing_table(scenario)
+        pair_order = sorted(pairings)
+        empty = game._Evaluator(scenario)
+        nears, closed = game._subset_masks(empty, pair_order)
+
+        def ends(i, pair):  # i's end of ``pair``, per pairing
+            side = pair.index(i)
+            return [(pair[1 - side], option[side], option[side + 2]) for option in pairings[pair]]
+
+        def price(own, parts):
+            return game._state(game._link_cost(alpha, game._unit_sums(sorted(own))), *parts)
+
+        for subset in itertools.compress(range(len(nears)), closed):
+            for k, pair in enumerate(pair_order):
+                if subset >> k & 1:
+                    continue
+                for i in pair:
+                    linked = [ends(i, other) for m, other in enumerate(pair_order) if subset >> m & 1 and i in other]
+                    before, after = empty.masked_parts(nears[subset], i), empty.masked_parts(nears[subset | 1 << k], i)
+                    bounds = game._interface_bounds(alpha, linked)
+                    accepted, possible = game._join_certificates(alpha, empty.tolerance, bounds, before, after, ends(i, pair))
+                    for j, end in enumerate(ends(i, pair)):
+                        improves = {price([*own, end], after) < price(own, before) for own in itertools.product(*linked)}
+                        if accepted >> j & 1:
+                            assert improves == {True}, (scenario, subset, k, i, j)
+                            decided["accepted"] += 1
+                        if not possible >> j & 1:
+                            assert improves == {False}, (scenario, subset, k, i, j)
+                            decided["ruled out"] += 1
+                        decided["pairings"] += 1
+    assert decided["accepted"] > 100 and decided["ruled out"] > 10, decided
 
 
 def test_stability_equals_oracle_at_small_hop_caps():

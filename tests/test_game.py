@@ -34,16 +34,20 @@ from linkform.model import (
 
 from conftest import WLAN, make_iface, make_node
 from generators import (
+    MESH,
     clique_suite_scenario,
     feasible_pairings,
     fixture_sample_scenario,
     free_scenario,
+    isolated_scenario,
+    multi_radio_scenario,
+    overflowing_unit_scenario,
+    pinned_order_nodes,
     random_graph_scenario,
+    split_scenario,
     uplink_suite_scenario,
 )
 from oracles import improves_naive, node_state_naive, resolved_delta_naive, stability_oracle
-
-MESH = make_iface("mesh", 1.0e9, 1.0e6, 1.0, 1e-9)
 
 
 def ic_trio(gamma=570.0, spacing=10.0):
@@ -379,16 +383,6 @@ def test_a_link_to_an_unknown_node_is_a_value_error():
             query()
 
 
-def overflowing_unit_scenario():
-    """Two IC nodes 10 km apart whose one pairing fits both power budgets, though node 0's unit cost is inf."""
-    radio = make_iface("lr", 1.0e9, 1.0e5, 1.0e12, 1.0e-3)
-    nodes = (
-        make_node(0, (0.0, 0.0), (radio,), b_min=1.0e6, rho=1.0e300, ic=True),
-        make_node(1, (1.0e4, 0.0), (radio,), b_min=1.0e6, ic=True),
-    )
-    return Scenario(nodes, GameConfig(gamma=10.0))
-
-
 def test_a_feasible_pairing_with_an_infinite_unit_cost_is_a_candidate():
     scenario = overflowing_unit_scenario()
     assert validate_scenario(scenario.nodes, scenario.config) == []
@@ -710,15 +704,10 @@ def mirrored(scenario):
 
 
 def test_brute_force_equals_oracle_over_every_link_set():
-    multi_radio = Scenario(pinned_order_nodes()[:4], GameConfig(gamma=10.0))
-    # two clusters that no radio bridges: every state is infinite and the count rule decides
-    spots = ((0.0, 0.0), (20.0, 0.0), (10.0, 15.0), (1000.0, 0.0), (1020.0, 0.0))
-    split = Scenario(
-        tuple(make_node(i, spot, (MESH,) * (2 if i < 2 else 1), ic=i in (0, 3)) for i, spot in enumerate(spots)),
-        GameConfig(gamma=10.0),
-    )
+    multi_radio, split = multi_radio_scenario(), split_scenario()
     assert len(feasible_pairings(multi_radio)[(0, 1)]) == 4 and (2, 3) not in feasible_pairings(split)
     scenarios = [free_scenario(seed, max_nodes=4) for seed in range(16)] + [multi_radio, split]
+    scenarios += [overflowing_unit_scenario(), overflowing_unit_scenario(3)]  # node 0's unit is inf on every pairing
     for scenario in scenarios + [mirrored(scenario) for scenario in scenarios]:
         expected = {
             links
@@ -731,10 +720,7 @@ def test_brute_force_equals_oracle_over_every_link_set():
 def test_brute_force_equals_oracle_at_small_hop_caps():
     # at h_max 1 and 2 a link set with every feasible pair inside one component can still leave
     # peers out of reach; node 4 has no feasible pair, so every state is infinite and the count rule decides
-    spots = ((0.0, 0.0), (20.0, 0.0), (10.0, 15.0), (30.0, 10.0), (5000.0, 0.0))
-    isolated = Scenario(
-        tuple(make_node(i, spot, (MESH,), ic=i in (0, 2)) for i, spot in enumerate(spots)), GameConfig(gamma=10.0)
-    )
+    isolated = isolated_scenario()
     assert len(feasible_pairings(isolated)) == 6 and all(4 not in pair for pair in feasible_pairings(isolated))
     for scenario in [free_scenario(seed, max_nodes=4) for seed in range(8)] + [isolated]:
         for h_max in (1, 2):
@@ -755,14 +741,6 @@ def test_fixed_points_belong_to_stable_set():
             topology, trace = best_response_dynamics(scenario, seed=seed)
             if trace.converged:
                 assert topology in stable
-
-
-def pinned_order_nodes():
-    """Five mesh nodes, three with two radios, so several pairs have several pairings."""
-    rhos = (1e4, 1e2, 1e3, 1e3, 1e4)
-    radios = (2, 2, 1, 1, 2)
-    positions = ((0.0, 0.0), (20.0, 0.0), (20.0, 20.0), (0.0, 20.0), (40.0, 10.0))
-    return tuple(make_node(i, positions[i], (MESH,) * radios[i], rho=rhos[i]) for i in range(5))
 
 
 def test_stability_report_order_is_pinned():

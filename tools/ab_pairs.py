@@ -13,7 +13,10 @@ removed first, so both sides compile their sources afresh. The side that runs
 first alternates by pair, starting with the parent. Progress goes to stderr;
 stdout gets one JSON object with each workload's per-pair end-to-end metrics,
 their medians, quartiles (``statistics.quantiles(n=4, method='inclusive')``),
-the change's wins and its median change in percent.
+the change's wins and its median change in percent. It also gives, per side,
+the median time of 20 ``compile()`` calls on each ``src/linkform/*.py``, the
+sides alternating: the part of setup_s that grows with the source, since each
+set-up compiles it afresh.
 """
 
 from __future__ import annotations
@@ -28,11 +31,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("wall_s", "setup_s")  # BENCHMARK.json's end-to-end metrics, lower is better
 PAIRS = 10
+COMPILES = 20
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
@@ -68,6 +73,27 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{checkout.name} {workload}: exit {done.returncode}\n{done.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def compile_ms(sides: dict[str, Path]) -> dict[str, dict[str, float]]:
+    """Per side, per ``src/linkform/*.py`` and in total, the median milliseconds of ``COMPILES`` compiles.
+
+    Each round compiles every file of each side, the side that goes first alternating by round.
+    """
+    files = {side: sorted((checkout / "src" / "linkform").glob("*.py")) for side, checkout in sides.items()}
+    samples = {side: {path.name: [] for path in paths} for side, paths in files.items()}
+    for round_ in range(COMPILES):
+        for side in list(files)[:: 1 if round_ % 2 == 0 else -1]:
+            for path in files[side]:
+                source = path.read_bytes()
+                start = time.perf_counter()
+                compile(source, path.name, "exec", dont_inherit=True)
+                samples[side][path.name].append(time.perf_counter() - start)
+    result = {}
+    for side, times in samples.items():
+        medians = {name: statistics.median(values) * 1e3 for name, values in times.items()}
+        result[side] = {name: round(value, 3) for name, value in {**medians, "total": sum(medians.values())}.items()}
+    return result
 
 
 def summary(parent: list[float], change: list[float]) -> dict:
@@ -125,6 +151,7 @@ def main() -> int:
             checkout.mkdir()
         export_parent(args.parent, sides["parent"])
         copy_working_tree(sides["change"])
+        compiled = compile_ms(sides)
         workloads = {workload: pairs(sides, workload, args.seed) for workload in args.workload}
     method = (
         f"`python3 tools/ab_pairs.py --parent {args.parent} "
@@ -132,9 +159,11 @@ def main() -> int:
         + f"--seed {args.seed}`: parent from `git archive {args.parent}`, change from a copy of the working tree; per pair, "
         f"`python3 perfbench/run.py --workload W --seed {args.seed} --seconds {SECONDS:g} --trace 0` on each side "
         "with PYTHONDONTWRITEBYTECODE=1 and __pycache__ removed before each run, the side that runs first alternating "
-        "by pair (parent_first lists it); quartiles by statistics.quantiles(n=4, method='inclusive')"
+        "by pair (parent_first lists it); quartiles by statistics.quantiles(n=4, method='inclusive'); compile_ms: per side, "
+        f"the median of {COMPILES} compile() calls on each src/linkform/*.py, the sides alternating by round, before the pairs"
     )
-    json.dump({"method": method, "untraced_pairs": {f"seed{args.seed}": workloads}}, sys.stdout, indent=1)
+    result = {"method": method, "compile_ms": compiled, "untraced_pairs": {f"seed{args.seed}": workloads}}
+    json.dump(result, sys.stdout, indent=1)
     print()
     return 0
 
