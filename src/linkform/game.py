@@ -12,10 +12,12 @@ conservative between equally-disconnected states.
 
 Dynamics and the stability check share one deviation engine, and the enumeration
 prices its own verdicts; all three share ``_state``, ``_parts`` and one hop-ball
-search, ``_Evaluator._search``. The engine's scans yield moves: ``_severances`` a
-``Remove`` per improving severance, by node, then peer id, and ``_additions`` one
-``Add`` per absent pair, in pair order, with the pair's best mutually improving
-pairing: the lowest delta for the lower-id endpoint wins, then the lowest interfaces.
+search, ``_Evaluator._search``. Parts count IC hops as a whole number that every
+gamma shares, and ``_state`` weighs it by gamma. The engine's scans yield moves:
+``_severances`` a ``Remove`` per improving severance, by node, then peer id, and
+``_additions`` one ``Add`` per absent pair, in pair order, with the pair's best
+mutually improving pairing: the lowest delta for the lower-id endpoint wins, then
+the lowest interfaces.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ DEFAULT_MAX_MOVES = 10_000
 
 State = tuple[float, int]  # (total cost, peers unreachable within h_max); improving is ``after < before``
 Ends = list[tuple[int, int, float]]  # (peer, own interface, own unit) per link, by peer id
-Parts = tuple[float, int, float, int]  # all but the link cost: (gamma * IC hops, non-IC hops, bridging, unreachable)
+Parts = tuple[int, int, float, int]  # all but the link cost, for every gamma: (IC hops, non-IC hops, bridging, unreachable)
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,8 @@ class _Evaluator:
     balls from closed-neighbourhood masks by rank: ``state`` and the exact cuts
     search ``near``, the current links' masks; ``masked_parts`` a subset's.
     ``states`` rebuilds ``balls[i][k]``, the nodes within k <= min(h_max, n - 1)
-    hops of ``i``, and from them ``parts`` and ``sums`` in one pass. Peer sums
-    run in ascending id order, whatever order the links were placed in.
+    hops of ``i``, and from them gamma-free ``parts`` and ``sums`` in one pass.
+    Peer sums run in ascending id order, whatever order the links were placed in.
     """
 
     def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
@@ -267,7 +269,7 @@ class _Evaluator:
         """Parts from balls B_0.., a link count and the peers' inverse degrees; hop sums are ``sum over k < h of |class - B_k|``."""
         last = row[-1]
         if last != self.full:
-            return 0.0, 0, 0.0, self.n - last.bit_count()
+            return 0, 0, 0.0, self.n - last.bit_count()
         ic_mask = self.ic_mask
         ic_seen = seen = levels = 0
         for levels, ball in enumerate(row):
@@ -276,12 +278,12 @@ class _Evaluator:
             ic_seen += (ball & ic_mask).bit_count()
             seen += ball.bit_count()
         bridging = (1.0 / links) / inverse_degrees if links else 0.0
-        return self.cfg.gamma * (levels * self.n_ic - ic_seen), levels * (self.n - self.n_ic) - (seen - ic_seen), bridging, 0
+        return levels * self.n_ic - ic_seen, levels * (self.n - self.n_ic) - (seen - ic_seen), bridging, 0
 
     def state(self, i: int) -> State:
         """(total cost, number of peers unreachable within h_max) for node ``i``, by exact search."""
         own = self.ends[i]
-        return _state(_link_cost(self.cfg.alpha, _unit_sums(own)), *self.reach(i, own))
+        return _state(self.cfg.gamma, _link_cost(self.cfg.alpha, _unit_sums(own)), *self.reach(i, own))
 
     def states(self) -> dict[int, State]:
         """Every node's state; rebuilds the balls, ``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``, parts and sums."""
@@ -310,7 +312,7 @@ class _Evaluator:
             own = ends[i]
             units, inverse_degrees = _unit_sums(own), _inverse_degrees(own, degree)
             parts = self.parts[i] = self._parts(row, len(own), inverse_degrees)
-            state = states[i] = _state(_link_cost(alpha, units), *parts)
+            state = states[i] = _state(gamma, _link_cost(alpha, units), *parts)
             if state[0] == math.inf:
                 continue
             far = 0.0
@@ -413,11 +415,11 @@ def _link_cost(alpha: float, units: dict[int, tuple[float, int]]) -> float:
     return link_cost
 
 
-def _state(link_cost: float, gic: float, non_ic: int, bridging: float, unreachable: int) -> State:
-    """A node's state from its link cost and its other parts, which are finite: an infinite link cost sums to inf."""
+def _state(gamma: float, link_cost: float, ic: int, non_ic: int, bridging: float, unreachable: int) -> State:
+    """A node's state from its link cost and its other parts, IC hops weighed by ``gamma``: an infinite link cost sums to inf."""
     if unreachable:
         return (math.inf, unreachable)
-    return (link_cost + gic + non_ic + bridging, 0)
+    return (link_cost + gamma * ic + non_ic + bridging, 0)
 
 
 def _interface_bounds(alpha: float, linked: list[Ends]) -> tuple[dict, dict, float]:
@@ -430,13 +432,15 @@ def _interface_bounds(alpha: float, linked: list[Ends]) -> tuple[dict, dict, flo
     return tops, lows, _link_cost(alpha, tops)
 
 
-def _join_certificates(alpha: float, tolerance: float, bounds: tuple, before: Parts, after: Parts, ends: Ends) -> tuple[int, int]:
+def _join_certificates(
+    alpha: float, gamma: float, tolerance: float, bounds: tuple, before: Parts, after: Parts, ends: Ends
+) -> tuple[int, int]:
     """Masks of a new link's pairings (``ends``) that improve a node at every, and maybe at some, pairing combination of
     its links, from ``_interface_bounds`` and its parts before and after; (0, all) with a peer out of reach."""
     if before[3] or after[3]:
         return 0, -1
-    (tops, lows, most_cost), held = bounds, before[0] + before[1] + before[2]
-    gain, margin = held - (after[0] + after[1] + after[2]), tolerance * (most_cost + held)  # inf when a linked unit is
+    (tops, lows, most_cost), held = bounds, gamma * before[0] + before[1] + before[2]
+    gain, margin = held - (gamma * after[0] + after[1] + after[2]), tolerance * (most_cost + held)  # inf when a linked unit is
     accepted = possible = 0
     for j, (_, r, unit) in enumerate(ends):
         (top, most), (low, least) = tops.get(r, (0.0, 0)), lows.get(r, (0.0, 0))
@@ -460,8 +464,8 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
     exact BFS only when the severance certificate does not refute it; an
     ``(inf, 0)`` state, whose link cost is infinite, gets it always.
     """
-    alpha, ends, sums, reach = evaluator.cfg.alpha, evaluator.ends, evaluator.sums, evaluator.reach
-    refuted = evaluator.cut_refuted
+    alpha, gamma, ends, sums = evaluator.cfg.alpha, evaluator.cfg.gamma, evaluator.ends, evaluator.sums
+    reach, refuted = evaluator.reach, evaluator.cut_refuted
     for i in node_order:
         before = base[i]
         if before[1]:
@@ -471,7 +475,7 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
             if certified and refuted(i, end):
                 continue
             rest = own[:at] + own[at + 1 :]
-            after = _state(_link_cost(alpha, _unit_sums(rest)), *reach(i, rest))
+            after = _state(gamma, _link_cost(alpha, _unit_sums(rest)), *reach(i, rest))
             if after < before:
                 peer = end[0]
                 link = evaluator.links[(i, peer) if i < peer else (peer, i)]
@@ -493,27 +497,25 @@ def _additions(
     improves where ``a`` does. Otherwise only the link cost depends on the
     pairing, and ``b`` is priced only when ``a`` improves.
     """
-    alpha, links, ends, grown = evaluator.cfg.alpha, evaluator.links, evaluator.ends, evaluator.grown
-    refuted = evaluator.join_refuted
+    alpha, gamma, links, ends = evaluator.cfg.alpha, evaluator.cfg.gamma, evaluator.links, evaluator.ends
+    grown, refuted = evaluator.grown, evaluator.join_refuted
     for pair in pair_order:
         if pair in links:
             continue
         a, b = pair
         if refuted(b, a, pairings[pair], 1) or refuted(a, b, pairings[pair], 0):
             continue
-        before_a = base[a]
+        before_a, before_b, ends_a, ends_b = base[a], base[b], ends[a], ends[b]
         at_a, parts_a = grown(a, b)
-        before_b = base[b]
-        ends_a, ends_b = ends[a], ends[b]
         improving, grown_b = [], None
         for option in pairings[pair]:
             units_a = _unit_sums([*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]])
-            after_a = _state(_link_cost(alpha, units_a), *parts_a)
+            after_a = _state(gamma, _link_cost(alpha, units_a), *parts_a)
             if not after_a < before_a:
                 continue
             at_b, parts_b = grown_b = grown_b or grown(b, a)
             units_b = _unit_sums([*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]])
-            after_b = _state(_link_cost(alpha, units_b), *parts_b)
+            after_b = _state(gamma, _link_cost(alpha, units_b), *parts_b)
             if after_b < before_b:
                 delta_b = _resolved_delta(before_b, after_b)
                 improving.append((_resolved_delta(before_a, after_a), option.r_a, option.r_b, delta_b))
@@ -522,9 +524,7 @@ def _additions(
             yield Add(link=Link(a, r_a, b, r_b), delta_a=delta_a, delta_b=delta_b)
 
 
-def _toggle_states(
-    topology: Topology, config: GameConfig, link: Link, ids: tuple[int, ...]
-) -> list[tuple[State, State]]:
+def _toggle_states(topology: Topology, config: GameConfig, link: Link, ids: tuple[int, ...]) -> list[tuple[State, State]]:
     """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added."""
     evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     before = [evaluator.state(i) for i in ids]
@@ -730,7 +730,7 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     for k, (a, b) in enumerate(pair_order):
         sides[a, k] = [(b, option.r_a, option.unit_a) for option in pairings[a, b]]
         sides[b, k] = [(a, option.r_b, option.unit_b) for option in pairings[a, b]]
-    alpha, tolerance = scenario.config.alpha, evaluator.tolerance
+    alpha, gamma, tolerance = scenario.config.alpha, scenario.config.gamma, evaluator.tolerance
     link_cost = functools.cache(lambda ends: _link_cost(alpha, _unit_sums(ends)))  # by a node's ends
     owned = {i: sum(1 << k for k in own) for i, own in mine.items()}
     bounds = functools.cache(lambda i, linked: _interface_bounds(alpha, [sides[i, k] for k in mine[i] if linked >> k & 1]))
@@ -746,13 +746,13 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     def priced(i: int, k: int, linked: tuple[int, ...], before_parts: Parts, after_parts: tuple) -> dict:
         row = {}
         for index, ends in combos(i, linked):
-            before = _state(link_cost(ends), *before_parts)
+            before = _state(gamma, link_cost(ends), *before_parts)
             if k < 0:
-                cuts = (_state(link_cost(ends[:at] + ends[at + 1 :]), *cut) for at, cut in enumerate(after_parts))
+                cuts = (_state(gamma, link_cost(ends[:at] + ends[at + 1 :]), *cut) for at, cut in enumerate(after_parts))
                 row[index] = any(after < before for after in cuts)
             else:
                 at = bisect_left(ends, (sides[i, k][0][0],))
-                grown = (_state(link_cost((*ends[:at], end, *ends[at:])), *after_parts) for end in sides[i, k])
+                grown = (_state(gamma, link_cost((*ends[:at], end, *ends[at:])), *after_parts) for end in sides[i, k])
                 row[index] = sum(1 << j for j, after in enumerate(grown) if after < before)
         return row
 
@@ -768,7 +768,7 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
         accepted = possible = -1  # k's pairings, by the certificates of the ends read so far
         for i in pair_order[k]:
             before, after = parts(subset, i), parts(subset | 1 << k, i)
-            at = _join_certificates(alpha, tolerance, bounds(i, subset & owned[i]), before, after, sides[i, k])
+            at = _join_certificates(alpha, gamma, tolerance, bounds(i, subset & owned[i]), before, after, sides[i, k])
             accepted, possible = accepted & at[0], possible & at[1]
             if not possible:
                 refuted.add(k)

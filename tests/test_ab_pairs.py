@@ -39,3 +39,7 @@ def test_compile_ms_times_each_source_file_of_each_side_and_their_sum(tmp_path):
     }
     assert all(value >= 0.0 for times in result.values() for value in times.values())
     assert result["change"]["total"] == pytest.approx(result["change"]["a.py"] + result["change"]["b.py"], abs=2e-3)
+    assert ab_pairs.source_lines({side: tmp_path / side for side in sources}) == {
+        "parent": {"a.py": 1, "total": 1},
+        "change": {"a.py": 1, "b.py": 2, "total": 3},
+    }

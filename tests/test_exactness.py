@@ -8,7 +8,8 @@ family that severs links (``fixture_sample_scenario``) and one that does not
 (``free_scenario``). So must every single-deviation query, and the parts
 that the enumeration reads from each pair subset's neighbourhood masks must
 equal the engine's grown and severed parts, and its addition certificates must
-agree with exact pricing at every pairing combination they decide.
+agree with exact pricing at every pairing combination they decide. Parts hold no
+gamma: they must be the same at every gamma, which only ``_state`` applies.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from linkform import game
+from linkform import game, model, propagation
 from linkform.cli import fixture_path, load_scenario, scenario_from_dict
 from linkform.cost import bridging_coefficient, total_cost
 from linkform.game import (
@@ -56,6 +57,7 @@ from generators import (
 from oracles import improves_naive, node_state_naive, resolved_delta_naive, stability_oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import scenarios as workload_scenarios  # noqa: E402
 import tiling  # noqa: E402
 
 FIXTURES = [load_scenario(fixture_path(name)) for name in ("smart_home_gamma570.json", "smart_home_gamma600.json")]
@@ -213,6 +215,36 @@ def test_parts_table_equals_grown_and_severed():
             assert closed[subset] == all(label[a] == label[b] for a, b in pair_order)
 
 
+GAMMA_TIE = float.fromhex("0x1.87d048e1628dbp+9")  # 783.627224...: the fixture topology's addition tie in test_game.py
+
+
+def test_parts_are_the_same_at_every_gamma():
+    # parts count IC hops as a whole number, and gamma weighs them only where ``_state`` sums a state
+    tiled20 = scenario_from_dict(json.loads(tiling.tiled_bytes(fixture_path("smart_home_gamma570.json"), 2)))
+    for scenario in (FIXTURES[0], tiled20):
+        links = best_response_dynamics(scenario)[0].links
+        seen = []
+        for gamma in (1.0, 570.0, GAMMA_TIE):
+            config = dataclasses.replace(scenario.config, gamma=gamma)
+            evaluator = game._Evaluator(Scenario(scenario.nodes, config), links)
+            states, near = evaluator.states(), tuple(evaluator.near)
+            for i, parts in evaluator.parts.items():
+                assert type(parts[0]) is int
+                expected = game._state(gamma, game._link_cost(config.alpha, game._unit_sums(evaluator.ends[i])), *parts)
+                assert (bits(states[i][0]), states[i][1]) == (bits(expected[0]), expected[1])
+            masked, grown, reach = {}, {}, {}
+            for i, own in evaluator.ends.items():
+                masked[i] = evaluator.masked_parts(near, i)
+                for j in evaluator.ids:
+                    if not near[evaluator.rank[i]] & evaluator.bit[j]:  # absent pairs only
+                        grown[i, j] = evaluator.grown(i, j)[1]
+                for at in range(len(own)):  # each cut
+                    reach[i, at] = evaluator.reach(i, own[:at] + own[at + 1 :])
+            seen.append((evaluator.parts, evaluator.balls, masked, grown, reach))
+        assert grown and reach and any(parts[0] for parts in evaluator.parts.values())  # some node has IC hops
+        assert seen[0] == seen[1] == seen[2]
+
+
 def test_join_certificates_agree_with_exact_pricing():
     # for every closed subset, node and absent pair of the node: each pairing of the pair that the certificates
     # accept improves the node at every pairing combination of its links, and each they rule out at none
@@ -220,9 +252,14 @@ def test_join_certificates_agree_with_exact_pricing():
     scenarios += [multi_radio_scenario(), split_scenario(), isolated_scenario()]
     cases = [Scenario(s.nodes, dataclasses.replace(s.config, h_max=h_max)) for s in scenarios for h_max in (1, 2, 5)]
     cases += [overflowing_unit_scenario(), overflowing_unit_scenario(3)]
+    # links priced near the hop terms, so that gamma decides verdicts: the first 4 and 5 nodes of analyze_small
+    # scenarios (workload seed 0) and the first 4 of fixture samples
+    small = [case.scenario for case in workload_scenarios.generate(model, propagation, 0, 4)]
+    cases += [Scenario(s.nodes[:count], s.config) for s in small for count in (4, 5)]
+    cases += [Scenario(sample.nodes[:4], sample.config) for sample, _ in map(fixture_sample_scenario, range(4))]
     decided = collections.Counter()
     for scenario in cases:
-        alpha, pairings = scenario.config.alpha, game.pairing_table(scenario)
+        alpha, gamma, pairings = scenario.config.alpha, scenario.config.gamma, game.pairing_table(scenario)
         pair_order = sorted(pairings)
         empty = game._Evaluator(scenario)
         nears, closed = game._subset_masks(empty, pair_order)
@@ -232,7 +269,7 @@ def test_join_certificates_agree_with_exact_pricing():
             return [(pair[1 - side], option[side], option[side + 2]) for option in pairings[pair]]
 
         def price(own, parts):
-            return game._state(game._link_cost(alpha, game._unit_sums(sorted(own))), *parts)
+            return game._state(gamma, game._link_cost(alpha, game._unit_sums(sorted(own))), *parts)
 
         for subset in itertools.compress(range(len(nears)), closed):
             for k, pair in enumerate(pair_order):
@@ -242,7 +279,9 @@ def test_join_certificates_agree_with_exact_pricing():
                     linked = [ends(i, other) for m, other in enumerate(pair_order) if subset >> m & 1 and i in other]
                     before, after = empty.masked_parts(nears[subset], i), empty.masked_parts(nears[subset | 1 << k], i)
                     bounds = game._interface_bounds(alpha, linked)
-                    accepted, possible = game._join_certificates(alpha, empty.tolerance, bounds, before, after, ends(i, pair))
+                    accepted, possible = game._join_certificates(
+                        alpha, gamma, empty.tolerance, bounds, before, after, ends(i, pair)
+                    )
                     for j, end in enumerate(ends(i, pair)):
                         improves = {price([*own, end], after) < price(own, before) for own in itertools.product(*linked)}
                         if accepted >> j & 1:

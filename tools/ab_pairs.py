@@ -16,7 +16,8 @@ their medians, quartiles (``statistics.quantiles(n=4, method='inclusive')``),
 the change's wins and its median change in percent. It also gives, per side,
 the median time of 20 ``compile()`` calls on each ``src/linkform/*.py``, the
 sides alternating: the part of setup_s that grows with the source, since each
-set-up compiles it afresh.
+set-up compiles it afresh. Beside it, ``source_lines`` gives each side's line
+count of each of those files and their total, as ``wc -l`` counts them.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ def compile_ms(sides: dict[str, Path]) -> dict[str, dict[str, float]]:
     return result
 
 
+def source_lines(sides: dict[str, Path]) -> dict[str, dict[str, int]]:
+    """Per side, the newline count of each ``src/linkform/*.py`` and their total."""
+    result = {}
+    for side, checkout in sides.items():
+        lines = {path.name: path.read_bytes().count(b"\n") for path in sorted((checkout / "src" / "linkform").glob("*.py"))}
+        result[side] = {**lines, "total": sum(lines.values())}
+    return result
+
+
 def summary(parent: list[float], change: list[float]) -> dict:
     parent_median, change_median = statistics.median(parent), statistics.median(change)
 
@@ -151,7 +161,7 @@ def main() -> int:
             checkout.mkdir()
         export_parent(args.parent, sides["parent"])
         copy_working_tree(sides["change"])
-        compiled = compile_ms(sides)
+        compiled, lines = compile_ms(sides), source_lines(sides)
         workloads = {workload: pairs(sides, workload, args.seed) for workload in args.workload}
     method = (
         f"`python3 tools/ab_pairs.py --parent {args.parent} "
@@ -160,9 +170,11 @@ def main() -> int:
         f"`python3 perfbench/run.py --workload W --seed {args.seed} --seconds {SECONDS:g} --trace 0` on each side "
         "with PYTHONDONTWRITEBYTECODE=1 and __pycache__ removed before each run, the side that runs first alternating "
         "by pair (parent_first lists it); quartiles by statistics.quantiles(n=4, method='inclusive'); compile_ms: per side, "
-        f"the median of {COMPILES} compile() calls on each src/linkform/*.py, the sides alternating by round, before the pairs"
+        f"the median of {COMPILES} compile() calls on each src/linkform/*.py, the sides alternating by round, before the pairs; "
+        "source_lines: per side, each src/linkform/*.py's newline count and their total"
     )
-    result = {"method": method, "compile_ms": compiled, "untraced_pairs": {f"seed{args.seed}": workloads}}
+    result = {"method": method, "compile_ms": compiled, "source_lines": lines,
+              "untraced_pairs": {f"seed{args.seed}": workloads}}
     json.dump(result, sys.stdout, indent=1)
     print()
     return 0
