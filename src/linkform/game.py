@@ -712,12 +712,12 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
 
     Only closed subsets S of feasible pairs are walked: otherwise an absent pair joins two components, which
     improves both ends. Parts do not depend on pairings: adding pair ``p`` gives its ends their parts at ``S | p``,
-    severing it at ``S - p``, read on demand from the subset's masks. S is skipped when an absent pair improves
-    both ends at every pair of their combinations. Certificates (``_join_certificates``) decide that first, from
-    the ends' parts and bounds on their link costs. What they leave is priced per pairing combination of a node's
-    links, in rows reused wherever the node, the move, its linked pairs and its parts before and after recur; a
-    pair they show blocks at no combination is dropped. Refuses scenarios over ``max_nodes``: masks grow as
-    2^pairs. Raises ValueError when the scenario is invalid (``_Geometry.of``).
+    severing it at ``S - p``, read on demand from the subset's masks. Certificates (``_join_certificates``) read
+    them and bounds on the ends' link costs: S is skipped when an absent pair improves both ends at every pair of
+    their combinations, and a pair that improves no pairing at one end is dropped. Each pairing choice of S is then
+    checked exactly against every cut and the pairs left, priced per combination of a node's links in rows reused
+    wherever the node, the move, its linked pairs and its parts before and after recur. Refuses scenarios over
+    ``max_nodes``: masks grow as 2^pairs. Raises ValueError when the scenario is invalid (``_Geometry.of``).
     """
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
@@ -740,7 +740,6 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
         for combo in itertools.product(*(enumerate(sides[i, cut]) for cut in linked))
     ])
     memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}  # verdicts within one subset
-    refuted: set[int] = set()  # absent pairs that block at no pairing combination, within one subset
 
     @functools.cache  # verdict rows by everything they read, shared across subsets
     def priced(i: int, k: int, linked: tuple[int, ...], before_parts: Parts, after_parts: tuple) -> dict:
@@ -764,37 +763,33 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
             memo[i, k] = priced(i, k, linked, parts(subset, i), after)
         return memo[i, k]
 
-    def blocks(k: int, subset: int) -> bool:  # absent k improves both ends at every combination pair
+    def blocks(k: int, subset: int, absent: list) -> bool:  # certificates: absent k improves both ends at every combination
         accepted = possible = -1  # k's pairings, by the certificates of the ends read so far
         for i in pair_order[k]:
             before, after = parts(subset, i), parts(subset | 1 << k, i)
             at = _join_certificates(alpha, gamma, tolerance, bounds(i, subset & owned[i]), before, after, sides[i, k])
             accepted, possible = accepted & at[0], possible & at[1]
             if not possible:
-                refuted.add(k)
                 return False
-        if accepted:
-            return True
-        masks = verdicts(pair_order[k][0], k, subset).values()
-        return all(masks) and all(x & y for y in verdicts(pair_order[k][1], k, subset).values() for x in masks)
+        if not accepted:  # the per-choice loop decides k
+            absent.append(pair_order[k] + (k,))
+        return bool(accepted)
 
     stable: set[Topology] = set()
     blockers = list(range(len(pair_order)))  # the pair that blocked most recently first
     for subset in itertools.compress(range(len(nears)), closed):
-        memo.clear()
-        refuted.clear()
-        blocker = next((k for k in blockers if not subset >> k & 1 and blocks(k, subset)), None)
+        memo, absent = {}, []  # verdicts, and (a, b, k) per absent pair k that the certificates leave open, within S
+        blocker = next((k for k in blockers if not subset >> k & 1 and blocks(k, subset, absent)), None)
         if blocker is not None:
             blockers.insert(0, blockers.pop(blockers.index(blocker)))
             continue
         linked = [k for k in range(len(pair_order)) if subset >> k & 1]
-        absent = [pair_order[k] + (k,) for k in blockers if not subset >> k & 1 and k not in refuted]
+        at = {i: [linked.index(k) for k in own if subset >> k & 1] for i, own in mine.items()}  # i's pairs in a choice
         for choice in itertools.product(*(range(len(pairings[pair_order[k]])) for k in linked)):
-            pick = dict(zip(linked, choice))
-            combo = {i: tuple(pick[k] for k in own if k in pick) for i, own in mine.items()}
-            if not any(verdicts(i, -1, subset)[combo[i]] for i in mine) and not any(
-                verdicts(a, k, subset)[combo[a]] & verdicts(b, k, subset)[combo[b]] for a, b, k in absent
+            combo = lambda i: tuple(map(choice.__getitem__, at[i]))  # the pairings of i's links, as rows key them
+            if not any(verdicts(i, -1, subset)[combo(i)] for i in mine) and not any(
+                verdicts(a, k, subset)[combo(a)] & verdicts(b, k, subset)[combo(b)] for a, b, k in absent
             ):
-                options = [(pair_order[k], pairings[pair_order[k]][pick[k]]) for k in linked]
+                options = [(pair_order[k], pairings[pair_order[k]][j]) for k, j in zip(linked, choice)]
                 stable.add(Topology(scenario.nodes, frozenset(Link(a, o.r_a, b, o.r_b) for (a, b), o in options)))
     return stable

@@ -22,7 +22,19 @@ def test_summary_gives_medians_inclusive_quartiles_wins_and_percent_change():
         "change_quartiles": [1.875, 2.625],
         "change_wins": 2,  # strictly lower only: pairs 1 and 3
         "median_change_pct": -10.0,
+        "parent_iqr": 1.5,
+        "gain_claimable": False,
     }
+
+
+def test_a_gain_is_claimable_at_nine_tenths_of_pairs_won_and_a_median_gap_beyond_the_parent_iqr():
+    parent = [2.0, 2.1, 2.2, 2.3, 2.4, 2.0, 2.1, 2.2, 2.3, 2.4]  # median 2.2, inclusive quartiles 2.1 and 2.3
+    claimed = ab_pairs.summary(parent, [1.0] * 9 + [2.4])  # the last pair ties
+    assert (claimed["change_wins"], claimed["parent_iqr"], claimed["gain_claimable"]) == (9, 0.2, True)
+    tied = ab_pairs.summary(parent, [1.0] * 8 + [2.3, 2.4])  # two ties: 8 of 10 won, however far the medians
+    assert (tied["change_wins"], tied["gain_claimable"]) == (8, False)
+    close = ab_pairs.summary(parent, [value - 0.1 for value in parent])  # every pair won, medians 0.1 apart
+    assert (close["change_wins"], close["gain_claimable"]) == (10, False)
 
 
 def test_compile_ms_times_each_source_file_of_each_side_and_their_sum(tmp_path):

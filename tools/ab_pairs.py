@@ -13,11 +13,15 @@ removed first, so both sides compile their sources afresh. The side that runs
 first alternates by pair, starting with the parent. Progress goes to stderr;
 stdout gets one JSON object with each workload's per-pair end-to-end metrics,
 their medians, quartiles (``statistics.quantiles(n=4, method='inclusive')``),
-the change's wins and its median change in percent. It also gives, per side,
-the median time of 20 ``compile()`` calls on each ``src/linkform/*.py``, the
-sides alternating: the part of setup_s that grows with the source, since each
-set-up compiles it afresh. Beside it, ``source_lines`` gives each side's line
-count of each of those files and their total, as ``wc -l`` counts them.
+the change's wins and its median change in percent. ``parent_iqr`` is the
+parent's q3 - q1, and ``gain_claimable`` says whether the change wins at least
+nine tenths of the pairs, ties counting for neither, with its median below the
+parent's by more than ``parent_iqr``: the rule a claimed gain is judged by. It
+also gives, per side, the median time of 20 ``compile()`` calls on each
+``src/linkform/*.py``, the sides alternating: the part of setup_s that grows
+with the source, since each set-up compiles it afresh. Beside it,
+``source_lines`` gives each side's line count of each of those files and their
+total, as ``wc -l`` counts them.
 """
 
 from __future__ import annotations
@@ -108,20 +112,19 @@ def source_lines(sides: dict[str, Path]) -> dict[str, dict[str, int]]:
 
 def summary(parent: list[float], change: list[float]) -> dict:
     parent_median, change_median = statistics.median(parent), statistics.median(change)
-
-    def quartiles(values: list[float]) -> list[float]:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        return [round(q1, 5), round(q3, 5)]
-
+    (p1, _, p3), (c1, _, c3) = (statistics.quantiles(values, n=4, method="inclusive") for values in (parent, change))
+    wins = sum(after < before for before, after in zip(parent, change))
     return {
         "parent": [round(value, 5) for value in parent],
         "change": [round(value, 5) for value in change],
         "parent_median": round(parent_median, 5),
         "change_median": round(change_median, 5),
-        "parent_quartiles": quartiles(parent),
-        "change_quartiles": quartiles(change),
-        "change_wins": sum(after < before for before, after in zip(parent, change)),
+        "parent_quartiles": [round(p1, 5), round(p3, 5)],
+        "change_quartiles": [round(c1, 5), round(c3, 5)],
+        "change_wins": wins,
         "median_change_pct": round((change_median / parent_median - 1.0) * 100.0, 2),
+        "parent_iqr": round(p3 - p1, 5),
+        "gain_claimable": 10 * wins >= 9 * len(parent) and parent_median - change_median > p3 - p1,
     }
 
 
@@ -169,7 +172,9 @@ def main() -> int:
         + f"--seed {args.seed}`: parent from `git archive {args.parent}`, change from a copy of the working tree; per pair, "
         f"`python3 perfbench/run.py --workload W --seed {args.seed} --seconds {SECONDS:g} --trace 0` on each side "
         "with PYTHONDONTWRITEBYTECODE=1 and __pycache__ removed before each run, the side that runs first alternating "
-        "by pair (parent_first lists it); quartiles by statistics.quantiles(n=4, method='inclusive'); compile_ms: per side, "
+        "by pair (parent_first lists it); quartiles by statistics.quantiles(n=4, method='inclusive'); gain_claimable: "
+        "at least 9/10 of the pairs won, ties counting for neither, and parent_median - change_median > parent_iqr; "
+        "compile_ms: per side, "
         f"the median of {COMPILES} compile() calls on each src/linkform/*.py, the sides alternating by round, before the pairs; "
         "source_lines: per side, each src/linkform/*.py's newline count and their total"
     )
