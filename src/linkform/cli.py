@@ -287,7 +287,7 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> bool:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out_dir / name).write_text(text)
+            (out_dir / name).write_text(text, encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return False

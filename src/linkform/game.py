@@ -186,13 +186,13 @@ class _Geometry:
 class _Evaluator:
     """Incremental cost evaluation for one scenario across candidate link sets.
 
-    Answers state queries as (total cost, peers unreachable within the hop
-    cap) against a small mutable link set. One search (``_search``) grows hop
-    balls from closed-neighbourhood masks by rank: ``state`` and the exact cuts
-    search ``near``, the current links' masks; ``masked_parts`` a subset's.
-    ``states`` rebuilds ``balls[i][k]``, the nodes within k <= min(h_max, n - 1)
-    hops of ``i``, and from them gamma-free ``parts`` and ``sums`` in one pass.
-    Peer sums run in ascending id order, whatever order the links were placed in.
+    Answers state queries as (total cost, peers unreachable within the hop cap) against a small
+    mutable link set: ``links``, each node's ``ends`` (as many as its degree) and ``near``. ``state``
+    prices a node from link ends and parts; one search (``_search``) grows the parts' hop balls from
+    closed-neighbourhood masks by rank: ``state`` and the exact cuts search ``near``, the current
+    links' masks; ``masked_parts`` a subset's. ``states`` rebuilds ``balls[i][k]``, the nodes within
+    k <= min(h_max, n - 1) hops of ``i``, and from them ``sums`` in one pass. Peer sums run in
+    ascending id order, whatever order the links were placed in.
     """
 
     def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
@@ -210,7 +210,6 @@ class _Evaluator:
         self.weight = {i: self.cfg.gamma if self.bit[i] & self.ic_mask else 1.0 for i in self.ids}  # a peer's cost per hop
         self.tolerance = self.n**2 * 2.0**-40  # a certificate's margin, relative to the state; the README says why
         self.ends: dict[int, Ends] = {i: [] for i in self.ids}
-        self.degree = {i: 0 for i in self.ids}  # len(ends[i]), kept by place and remove
         self.links: dict[tuple[int, int], Link] = {}  # by (lower id, higher id); the ends keep the units
         for link in links:  # infeasible links are priced as infinite
             self.place(link)
@@ -226,8 +225,6 @@ class _Evaluator:
         self.links[pair] = link
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
-        self.degree[a] += 1
-        self.degree[b] += 1
         self.near[self.rank[a]] ^= self.bit[b]
         self.near[self.rank[b]] ^= self.bit[a]
 
@@ -235,8 +232,6 @@ class _Evaluator:
         a, b = pair
         del self.ends[a][bisect_left(self.ends[a], (b,))]
         del self.ends[b][bisect_left(self.ends[b], (a,))]
-        self.degree[a] -= 1
-        self.degree[b] -= 1
         self.near[self.rank[a]] ^= self.bit[b]
         self.near[self.rank[b]] ^= self.bit[a]
         del self.links[pair]
@@ -280,14 +275,14 @@ class _Evaluator:
         bridging = (1.0 / links) / inverse_degrees if links else 0.0
         return levels * self.n_ic - ic_seen, levels * (self.n - self.n_ic) - (seen - ic_seen), bridging, 0
 
-    def state(self, i: int) -> State:
-        """(total cost, number of peers unreachable within h_max) for node ``i``, by exact search."""
-        own = self.ends[i]
-        return _state(self.cfg.gamma, _link_cost(self.cfg.alpha, _unit_sums(own)), *self.reach(i, own))
+    def state(self, i: int, own: Ends | None = None, parts: Parts | None = None) -> State:
+        """Node ``i``'s state with link ends ``own`` (default its own) and ``parts`` (default by ``reach`` over ``own``)."""
+        own = self.ends[i] if own is None else own
+        return _state(self.cfg.gamma, _link_cost(self.cfg.alpha, _unit_sums(own)), *(parts or self.reach(i, own)))
 
     def states(self) -> dict[int, State]:
-        """Every node's state; rebuilds the balls, ``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``, parts and sums."""
-        alpha, gamma, ends, degree, ic_mask = self.cfg.alpha, self.cfg.gamma, self.ends, self.degree, self.ic_mask
+        """Every node's state; rebuilds the balls, ``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``, and sums."""
+        alpha, gamma, ends, ic_mask = self.cfg.alpha, self.cfg.gamma, self.ends, self.ic_mask
         level, grown = self.bit, dict(zip(self.ids, self.near))  # B_0, and B_1 from the masks
         self.balls: dict[int, list[int]] = {i: [ball] for i, ball in level.items()}
         for k in range(self.h):
@@ -305,13 +300,12 @@ class _Evaluator:
             level = grown
         n_ic, n_non_ic = self.n_ic, self.n - self.n_ic
         states: dict[int, State] = {}
-        self.parts: dict[int, Parts] = {}
         self.sums: dict[int, _Sums] = {}  # finite states only
         for i, row in self.balls.items():
             row += [row[-1]] * (self.h + 1 - len(row))
             own = ends[i]
-            units, inverse_degrees = _unit_sums(own), _inverse_degrees(own, degree)
-            parts = self.parts[i] = self._parts(row, len(own), inverse_degrees)
+            units, inverse_degrees = _unit_sums(own), _inverse_degrees(own, ends)
+            parts = self._parts(row, len(own), inverse_degrees)
             state = states[i] = _state(gamma, _link_cost(alpha, units), *parts)
             if state[0] == math.inf:
                 continue
@@ -328,7 +322,7 @@ class _Evaluator:
         own, row = self.ends[a], self.balls[a]
         at = bisect_left(own, (b,))
         trial = [*own[:at], (b, 0, 0.0), *own[at:]]
-        return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], len(trial), _inverse_degrees(trial, self.degree, b))
+        return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], len(trial), _inverse_degrees(trial, self.ends, b))
 
     def cut_refuted(self, i: int, end: tuple[int, int, float]) -> bool:
         """The severance certificate: whether cutting ``i``'s link ``end`` provably leaves its finite state no lower.
@@ -338,8 +332,8 @@ class _Evaluator:
         sums = self.sums[i]
         peer, r_own, unit = end
         unit_sum, count = sums.units[r_own]
-        kept = self.degree[i] - 1
-        bridging = (1.0 / kept) / (sums.inverse_degrees - 1.0 / self.degree[peer]) if kept else 0.0
+        kept = len(self.ends[i]) - 1
+        bridging = (1.0 / kept) / (sums.inverse_degrees - 1.0 / len(self.ends[peer])) if kept else 0.0
         saved = self.cfg.alpha * (unit_sum + (count - 1) * unit)
         return self.weight[peer] + bridging - sums.bridging - saved > sums.margin
 
@@ -354,7 +348,7 @@ class _Evaluator:
         sums = self.sums.get(x)
         if sums is None:
             return False
-        room = sums.room + self.weight[y] - sums.share / (sums.inverse_degrees + 1.0 / (self.degree[y] + 1))
+        room = sums.room + self.weight[y] - sums.share / (sums.inverse_degrees + 1.0 / (len(self.ends[y]) + 1))
         alpha, units = self.cfg.alpha, sums.units
         for option in options:
             unit_sum, count = units.get(option[side], (0.0, 0))
@@ -367,7 +361,7 @@ class _Evaluator:
         first = self.bit[i]
         for j, _, _ in own:
             first |= self.bit[j]
-        return self._parts(self._search(self.near, i, first), len(own), _inverse_degrees(own, self.degree))
+        return self._parts(self._search(self.near, i, first), len(own), _inverse_degrees(own, self.ends))
 
     def masked_parts(self, near: tuple[int, ...], i: int) -> Parts:
         """``i``'s parts when ``near`` holds every node's closed-neighbourhood mask, by rank, by ``_search`` over them."""
@@ -399,11 +393,11 @@ def _unit_sums(ends: Ends) -> dict[int, tuple[float, int]]:
     return sums
 
 
-def _inverse_degrees(own: Ends, degree: dict[int, int], grown_peer: int = -1) -> float:
-    """Sum over ``own``'s peers, in peer order, of 1 / degree, where ``grown_peer`` has one link more than ``degree`` says."""
+def _inverse_degrees(own: Ends, ends: dict[int, Ends], grown_peer: int = -1) -> float:
+    """Sum over ``own``'s peers, in peer order, of 1 / degree, the length of the peer's ``ends``, plus one for ``grown_peer``."""
     inverse_degrees = 0.0
     for peer, _, _ in own:
-        inverse_degrees += 1.0 / (degree[peer] + (peer == grown_peer))
+        inverse_degrees += 1.0 / (len(ends[peer]) + (peer == grown_peer))
     return inverse_degrees
 
 
@@ -464,8 +458,7 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
     exact BFS only when the severance certificate does not refute it; an
     ``(inf, 0)`` state, whose link cost is infinite, gets it always.
     """
-    alpha, gamma, ends, sums = evaluator.cfg.alpha, evaluator.cfg.gamma, evaluator.ends, evaluator.sums
-    reach, refuted = evaluator.reach, evaluator.cut_refuted
+    state, ends, sums, refuted = evaluator.state, evaluator.ends, evaluator.sums, evaluator.cut_refuted
     for i in node_order:
         before = base[i]
         if before[1]:
@@ -474,8 +467,7 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
         for at, end in enumerate(own):
             if certified and refuted(i, end):
                 continue
-            rest = own[:at] + own[at + 1 :]
-            after = _state(gamma, _link_cost(alpha, _unit_sums(rest)), *reach(i, rest))
+            after = state(i, own[:at] + own[at + 1 :])
             if after < before:
                 peer = end[0]
                 link = evaluator.links[(i, peer) if i < peer else (peer, i)]
@@ -497,8 +489,7 @@ def _additions(
     improves where ``a`` does. Otherwise only the link cost depends on the
     pairing, and ``b`` is priced only when ``a`` improves.
     """
-    alpha, gamma, links, ends = evaluator.cfg.alpha, evaluator.cfg.gamma, evaluator.links, evaluator.ends
-    grown, refuted = evaluator.grown, evaluator.join_refuted
+    links, ends, state, grown, refuted = evaluator.links, evaluator.ends, evaluator.state, evaluator.grown, evaluator.join_refuted
     for pair in pair_order:
         if pair in links:
             continue
@@ -509,13 +500,11 @@ def _additions(
         at_a, parts_a = grown(a, b)
         improving, grown_b = [], None
         for option in pairings[pair]:
-            units_a = _unit_sums([*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]])
-            after_a = _state(gamma, _link_cost(alpha, units_a), *parts_a)
+            after_a = state(a, [*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]], parts_a)
             if not after_a < before_a:
                 continue
             at_b, parts_b = grown_b = grown_b or grown(b, a)
-            units_b = _unit_sums([*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]])
-            after_b = _state(gamma, _link_cost(alpha, units_b), *parts_b)
+            after_b = state(b, [*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]], parts_b)
             if after_b < before_b:
                 delta_b = _resolved_delta(before_b, after_b)
                 improving.append((_resolved_delta(before_a, after_a), option.r_a, option.r_b, delta_b))
@@ -732,17 +721,18 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
         sides[b, k] = [(a, option.r_b, option.unit_b) for option in pairings[a, b]]
     alpha, gamma, tolerance = scenario.config.alpha, scenario.config.gamma, evaluator.tolerance
     link_cost = functools.cache(lambda ends: _link_cost(alpha, _unit_sums(ends)))  # by a node's ends
-    owned = {i: sum(1 << k for k in own) for i, own in mine.items()}
-    bounds = functools.cache(lambda i, linked: _interface_bounds(alpha, [sides[i, k] for k in mine[i] if linked >> k & 1]))
+    owned = {i: sum(1 << k for k in own) for i, own in mine.items()}  # i's linked pairs in S are ``S & owned[i]``
+    held = lambda i, linked: [sides[i, k] for k in mine[i] if linked >> k & 1]  # i's end of each linked pair, per pairing
+    bounds = functools.cache(lambda i, linked: _interface_bounds(alpha, held(i, linked)))
     parts = functools.cache(lambda subset, i: evaluator.masked_parts(nears[subset], i))  # by subset and node
-    combos = functools.cache(lambda i, linked: [  # (pairing indices, ends) per pairing combination of i's pairs in S
+    combos = functools.cache(lambda i, linked: [  # (pairing indices, ends) per pairing combination of i's linked pairs
         (tuple(j for j, _ in combo), tuple(end for _, end in combo))
-        for combo in itertools.product(*(enumerate(sides[i, cut]) for cut in linked))
+        for combo in itertools.product(*map(enumerate, held(i, linked)))
     ])
     memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}  # verdicts within one subset
 
     @functools.cache  # verdict rows by everything they read, shared across subsets
-    def priced(i: int, k: int, linked: tuple[int, ...], before_parts: Parts, after_parts: tuple) -> dict:
+    def priced(i: int, k: int, linked: int, before_parts: Parts, after_parts: tuple) -> dict:
         row = {}
         for index, ends in combos(i, linked):
             before = _state(gamma, link_cost(ends), *before_parts)
@@ -758,9 +748,9 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     def verdicts(i: int, k: int, subset: int) -> dict[tuple[int, ...], int]:
         """By the pairings of i's links: a mask of absent k's improving pairings, or for k = -1 if a cut improves."""
         if (i, k) not in memo:
-            linked = tuple(cut for cut in mine[i] if subset >> cut & 1)
-            after = parts(subset | 1 << k, i) if k >= 0 else tuple(parts(subset ^ 1 << cut, i) for cut in linked)
-            memo[i, k] = priced(i, k, linked, parts(subset, i), after)
+            cuts = (parts(subset ^ 1 << cut, i) for cut in mine[i] if subset >> cut & 1)
+            after = parts(subset | 1 << k, i) if k >= 0 else tuple(cuts)
+            memo[i, k] = priced(i, k, subset & owned[i], parts(subset, i), after)
         return memo[i, k]
 
     def blocks(k: int, subset: int, absent: list) -> bool:  # certificates: absent k improves both ends at every combination

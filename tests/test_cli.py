@@ -2,8 +2,11 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from functools import reduce
 from operator import getitem
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from generators import clique_suite_scenario, free_scenario, random_graph_scenario, random_topology, uplink_suite_scenario
+import linkform
 from linkform import game
 from linkform.cli import (
     ScenarioFormatError,
@@ -533,6 +537,29 @@ def test_dot_labels_are_escaped():
     assert '[label="wlan \\"5\\" \\\\"];' in dot
     edges = [line for line in dot.splitlines() if " -- " in line]
     assert all(re.fullmatch(r'  \d+ -- \d+ \[label="(?:[^"\\]|\\.)*"\];', line) for line in edges)
+
+
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    # a valid non-ASCII kind, under the C locale and with a default-encoding read or write an error
+    document = copy.deepcopy(FIXTURE_DOCUMENT)
+    for node in document["nodes"]:
+        for iface in node["interfaces"]:
+            if iface["kind"] == "wlan":
+                iface["kind"] = "wlan\u2011ac"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(document, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "run"
+    src = str(Path(linkform.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    python = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "linkform.cli"]
+    for argv in (
+        ["run", "--scenario", str(scenario), "--out", str(out)],
+        ["check", "--scenario", str(scenario), "--topology", str(out / "topology.json"), "--out", str(out / "check")],
+    ):
+        result = subprocess.run(python + argv, capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+    assert 'label="wlan\u2011ac"' in (out / "topology.dot").read_text(encoding="utf-8")
 
 
 def test_repeat_runs_byte_identical(tmp_path):

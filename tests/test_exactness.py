@@ -199,8 +199,8 @@ def test_parts_table_equals_grown_and_severed():
             linked = [pair for k, pair in enumerate(pair_order) if subset >> k & 1]
             links = [Link(a, pairings[a, b][0].r_a, b, pairings[a, b][0].r_b) for a, b in linked]
             evaluator = game._Evaluator(scenario, links)
-            evaluator.states()
-            assert {i: empty.masked_parts(near, i) for i in scenario.ids} == evaluator.parts
+            assert evaluator.states() == {i: evaluator.state(i) for i in scenario.ids}
+            assert all(empty.masked_parts(near, i) == evaluator.reach(i, evaluator.ends[i]) for i in scenario.ids)
             for k, (a, b) in enumerate(pair_order):
                 for i, j in ((a, b), (b, a)):
                     if subset >> k & 1:
@@ -219,7 +219,8 @@ GAMMA_TIE = float.fromhex("0x1.87d048e1628dbp+9")  # 783.627224...: the fixture 
 
 
 def test_parts_are_the_same_at_every_gamma():
-    # parts count IC hops as a whole number, and gamma weighs them only where ``_state`` sums a state
+    # parts count IC hops as a whole number, and gamma weighs them only where ``_state`` sums a state; the
+    # level-synchronous pass in ``states()`` gives every node the state that the search in ``state(i)`` does
     tiled20 = scenario_from_dict(json.loads(tiling.tiled_bytes(fixture_path("smart_home_gamma570.json"), 2)))
     for scenario in (FIXTURES[0], tiled20):
         links = best_response_dynamics(scenario)[0].links
@@ -228,10 +229,13 @@ def test_parts_are_the_same_at_every_gamma():
             config = dataclasses.replace(scenario.config, gamma=gamma)
             evaluator = game._Evaluator(Scenario(scenario.nodes, config), links)
             states, near = evaluator.states(), tuple(evaluator.near)
-            for i, parts in evaluator.parts.items():
+            reached = {i: evaluator.reach(i, own) for i, own in evaluator.ends.items()}
+            for i, parts in reached.items():
                 assert type(parts[0]) is int
                 expected = game._state(gamma, game._link_cost(config.alpha, game._unit_sums(evaluator.ends[i])), *parts)
                 assert (bits(states[i][0]), states[i][1]) == (bits(expected[0]), expected[1])
+                searched = evaluator.state(i)
+                assert (bits(states[i][0]), states[i][1]) == (bits(searched[0]), searched[1])
             masked, grown, reach = {}, {}, {}
             for i, own in evaluator.ends.items():
                 masked[i] = evaluator.masked_parts(near, i)
@@ -240,8 +244,8 @@ def test_parts_are_the_same_at_every_gamma():
                         grown[i, j] = evaluator.grown(i, j)[1]
                 for at in range(len(own)):  # each cut
                     reach[i, at] = evaluator.reach(i, own[:at] + own[at + 1 :])
-            seen.append((evaluator.parts, evaluator.balls, masked, grown, reach))
-        assert grown and reach and any(parts[0] for parts in evaluator.parts.values())  # some node has IC hops
+            seen.append((reached, evaluator.balls, masked, grown, reach))
+        assert grown and reach and any(parts[0] for parts in reached.values())  # some node has IC hops
         assert seen[0] == seen[1] == seen[2]
 
 
@@ -350,11 +354,11 @@ def test_bridging_terms_equal_the_reference_in_peer_order():
         evaluator = game._Evaluator(scenario, links)
         evaluator.states()
         for node in scenario.nodes:
-            own, parts = evaluator.ends[node.id], evaluator.parts[node.id]
+            own = evaluator.ends[node.id]
+            parts = evaluator.reach(node.id, own)
             if not parts[3]:
-                expected = bits(bridging_coefficient(node, topology))
-                assert bits(parts[2]) == bits(evaluator.reach(node.id, own)[2]) == expected
-                inverse = [1.0 / evaluator.degree[j] for j, _, _ in own]
+                assert bits(parts[2]) == bits(bridging_coefficient(node, topology))
+                inverse = [1.0 / len(evaluator.ends[j]) for j, _, _ in own]
                 reordered += functools.reduce(add, inverse, 0.0) != functools.reduce(add, inverse[::-1], 0.0)
             for j in scenario.ids:
                 if j == node.id or topology.has_pair(node.id, j):

@@ -43,7 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("wall_s", "setup_s")  # BENCHMARK.json's end-to-end metrics, lower is better
 PAIRS = 10
 COMPILES = 20
-SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
 
 def export_parent(rev: str, into: Path) -> None:
