@@ -43,7 +43,6 @@ from .game import (
     Add,
     DynamicsTrace,
     StabilityReport,
-    _Geometry,
     best_response_dynamics,
     is_pairwise_stable,
 )
@@ -238,8 +237,8 @@ def trace_to_jsonl(trace: DynamicsTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def build_run_report(scenario: Scenario, seed: int, topology: Topology, trace: DynamicsTrace, geometry: _Geometry) -> dict:
-    stability = is_pairwise_stable(topology, scenario.config, geometry=geometry)
+def build_run_report(scenario: Scenario, seed: int, topology: Topology, trace: DynamicsTrace) -> dict:
+    stability = is_pairwise_stable(topology, scenario.config)
     costs = {node.id: total_cost(node, topology, scenario.config) for node in scenario.nodes}
     return {
         "seed": seed,
@@ -250,7 +249,7 @@ def build_run_report(scenario: Scenario, seed: int, topology: Topology, trace: D
         "topology": topology_to_dict(topology),
         "costs": _to_json(costs),
         "stability": stability_to_dict(stability),
-        "criteria": _to_json(criteria_mod.criteria_report(scenario, geometry=geometry)),
+        "criteria": _to_json(criteria_mod.criteria_report(scenario)),
         "structure": _to_json(criteria_mod.check_structure(topology)),
     }
 
@@ -323,9 +322,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     if not _write_files(out_dir, {}):  # an unusable --out fails before the run
         return 1
-    geometry = _Geometry(scenario)  # one pairing table for the dynamics, the stability check and the criteria
-    topology, trace = best_response_dynamics(scenario, seed=args.seed, max_moves=args.max_moves, geometry=geometry)
-    report = build_run_report(scenario, args.seed, topology, trace, geometry)
+    topology, trace = best_response_dynamics(scenario, seed=args.seed, max_moves=args.max_moves)
+    report = build_run_report(scenario, args.seed, topology, trace)
     artifacts = {
         "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n",
         "trace.jsonl": trace_to_jsonl(trace),
@@ -393,7 +391,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     issues = [issue for swept in sweep for issue in validate_scenario(swept.nodes, swept.config)]
     if issues:
         return _fail_issues(issues)
-    geometry = _Geometry(scenario)  # gamma varies by row, the nodes and path-loss exponent do not
 
     try:  # opened before the sweep so that an unwritable path fails fast
         handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
@@ -403,9 +400,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with handle as out:
         writer = None  # the header is the first row's keys
         for swept in sweep:
-            report = criteria_mod.criteria_report(swept, geometry=geometry)
+            report = criteria_mod.criteria_report(swept)
             for seed in range(args.seeds):
-                topology, trace = best_response_dynamics(swept, seed=seed, max_moves=args.max_moves, geometry=geometry)
+                topology, trace = best_response_dynamics(swept, seed=seed, max_moves=args.max_moves)
                 structure = criteria_mod.check_structure(topology)
                 row = {
                     "gamma": swept.config.gamma,

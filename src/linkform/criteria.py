@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .cost import hop_distances
-from .game import PairingTable, _Geometry
+from .game import PairingTable, _pairings
 from .model import Node, Scenario, Topology, bandwidth_ratio
 
 
@@ -172,9 +172,9 @@ CRITERIA_NOTES = (
 )
 
 
-def criteria_report(scenario: Scenario, *, geometry: _Geometry | None = None) -> CriteriaReport:
-    """All three criteria; ValueError for an invalid scenario or another's ``geometry`` (CLI-internal; ``_Geometry.of``)."""
-    pairings = _Geometry.of(scenario, geometry).pairings
+def criteria_report(scenario: Scenario) -> CriteriaReport:
+    """All three criteria; ValueError for an invalid scenario (``_pairings``)."""
+    pairings = _pairings(scenario)
     clique = _clique_witnesses(scenario, pairings)
     uplinks = itertools.product(scenario.ic_ids, scenario.non_ic_ids)
     single_ic_link = clique + _cheap_witnesses(scenario, pairings, uplinks, scenario.config.gamma - 1.0, "gamma - 1")

@@ -29,7 +29,7 @@ import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import or_
+from operator import is_, or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import (
@@ -150,7 +150,7 @@ def pairing_table(scenario: Scenario) -> PairingTable:
 
     Feasible means ``link_feasible`` holds; a unit cost may still be inf.
     Options are ordered by (r_a, r_b); pairs with no feasible pairing are absent.
-    The scenario must be valid (``_Geometry.of`` checks it).
+    The scenario must be valid (``_pairings`` checks it).
     """
     table: PairingTable = {}
     for a, b in itertools.combinations(scenario.nodes, 2):
@@ -164,23 +164,27 @@ def pairing_table(scenario: Scenario) -> PairingTable:
     return table
 
 
-class _Geometry:
-    """The pairing table, fixed by the nodes and path-loss exponent for any gamma, alpha, h_max; one per CLI command."""
+_memo: tuple = ((), None, {})  # (nodes, config, table) of the last scenario checked; no nodes never passes the check
 
-    def __init__(self, scenario: Scenario):
-        self.nodes, self.path_loss_exponent = scenario.nodes, scenario.config.path_loss_exponent
-        self.pairings = pairing_table(scenario)
 
-    @classmethod
-    def of(cls, scenario: Scenario, geometry: _Geometry | None = None) -> _Geometry:
-        """``geometry``, or a new one, after checking ``scenario``; raises ValueError on an issue or on another's geometry."""
+def _pairings(scenario: Scenario) -> PairingTable:
+    """``scenario``'s pairing table after checking it (ValueError naming every issue); remembers the last, by identity.
+
+    The check reruns unless the node objects and the config object are the same, the build unless the node objects
+    are and the path-loss exponent is equal. ``==`` would not do: an ``h_max`` of 5.0 equals 5, a node id 1.0 equals 1.
+    The slot is read once and rebound whole, so concurrent calls never pair one scenario's key with another's table.
+    """
+    global _memo
+    nodes, config, table = _memo
+    same_nodes = len(nodes) == len(scenario.nodes) and all(map(is_, nodes, scenario.nodes))
+    if not (same_nodes and config is scenario.config):
         issues = validate_scenario(scenario.nodes, scenario.config)
         if issues:
             raise ValueError("; ".join(str(issue) for issue in issues))
-        geometry = geometry or cls(scenario)
-        if geometry.nodes != scenario.nodes or geometry.path_loss_exponent != scenario.config.path_loss_exponent:
-            raise ValueError("the geometry was built for other nodes or another path_loss_exponent")
-        return geometry
+        if not (same_nodes and config.path_loss_exponent == scenario.config.path_loss_exponent):
+            table = pairing_table(scenario)
+        _memo = (scenario.nodes, scenario.config, table)
+    return table
 
 
 class _Evaluator:
@@ -513,9 +517,9 @@ def _additions(
             yield Add(link=Link(a, r_a, b, r_b), delta_a=delta_a, delta_b=delta_b)
 
 
-def _toggle_states(topology: Topology, config: GameConfig, link: Link, ids: tuple[int, ...]) -> list[tuple[State, State]]:
+def _toggle_states(scenario: Scenario, links: Iterable[Link], link: Link, ids: tuple[int, ...]) -> list[tuple[State, State]]:
     """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added."""
-    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
+    evaluator = _Evaluator(scenario, links)
     before = [evaluator.state(i) for i in ids]
     evaluator.toggle(link)
     return list(zip(before, [evaluator.state(i) for i in ids]))
@@ -525,9 +529,10 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
     """Cost change for ``node`` if ``link`` were added; raises when undefined.
 
     Raises IncomparableCostError when both states are infinite, and ValueError
-    when the node is not in the topology or the link is already present or
-    physically infeasible.
+    when the scenario is invalid, the node is not in the topology or the link
+    is already present or physically infeasible.
     """
+    _pairings(scenario := Scenario(topology.nodes, config))
     topology.node(node.id)
     if topology.has_pair(link.node_a, link.node_b):
         raise ValueError(f"{link} already present")
@@ -535,17 +540,18 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
         topology.node(link.node_a), link.iface_a, topology.node(link.node_b), link.iface_b, config
     ):
         raise ValueError(f"{link} is not physically feasible")
-    [(before, after)] = _toggle_states(topology, config, link, (node.id,))
+    [(before, after)] = _toggle_states(scenario, topology.links, link, (node.id,))
     return Cost(after[0]).minus(Cost(before[0]))
 
 
 def delta_cost_remove(node: Node, topology: Topology, link: Link, config: GameConfig) -> float:
     """Cost change for ``node`` if it severed ``link``; raises when undefined."""
+    _pairings(scenario := Scenario(topology.nodes, config))
     if link not in topology.links:
         raise ValueError(f"{link} not present")
     if not link.touches(node.id):
         raise ValueError(f"node {node.id} is not an endpoint of {link}")
-    [(before, after)] = _toggle_states(topology, config, link, (node.id,))
+    [(before, after)] = _toggle_states(scenario, topology.links, link, (node.id,))
     return Cost(after[0]).minus(Cost(before[0]))
 
 
@@ -556,8 +562,9 @@ def propose_add(
 
     Returns an Add move iff the pairing is feasible and both endpoints strictly
     improve; otherwise a Rejection naming who withheld consent. Symmetric in
-    (i, j).
+    (i, j). Raises ValueError when the scenario is invalid, whatever the link.
     """
+    _pairings(scenario := Scenario(topology.nodes, config))
     node_i = topology.node(i)
     node_j = topology.node(j)
     if i == j or topology.has_pair(i, j):
@@ -565,7 +572,7 @@ def propose_add(
     if not link_feasible(node_i, r_i, node_j, r_j, config):
         return Rejection(kind="infeasible")
     link = Link(i, r_i, j, r_j)
-    states = _toggle_states(topology, config, link, link.pair)
+    states = _toggle_states(scenario, topology.links, link, link.pair)
     decliners = tuple(node_id for node_id, (before, after) in zip(link.pair, states) if not after < before)
     if decliners:
         return Rejection(kind="declined", declined_by=decliners)
@@ -577,15 +584,14 @@ def propose_add(
     )
 
 
-def is_pairwise_stable(topology: Topology, config: GameConfig, *, geometry: _Geometry | None = None) -> StabilityReport:
+def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityReport:
     """Full deviation scan: every severance incidence, every absent feasible pairing.
 
     Severances are reported by link, then endpoint; additions by pair, each
-    with its best pairing. Raises ValueError when the scenario is invalid or
-    ``geometry``, which only the CLI passes, is another's (``_Geometry.of``).
+    with its best pairing. Raises ValueError when the scenario is invalid (``_pairings``).
     """
     scenario = Scenario(topology.nodes, config)
-    pairings = _Geometry.of(scenario, geometry).pairings
+    pairings = _pairings(scenario)
     evaluator = _Evaluator(scenario, topology.links)
     base = evaluator.states()
     severance = sorted(
@@ -601,7 +607,7 @@ def is_pairwise_stable(topology: Topology, config: GameConfig, *, geometry: _Geo
 
 
 def best_response_dynamics(
-    scenario: Scenario, seed: int = 0, max_moves: int = DEFAULT_MAX_MOVES, *, geometry: _Geometry | None = None
+    scenario: Scenario, seed: int = 0, max_moves: int = DEFAULT_MAX_MOVES
 ) -> tuple[Topology, DynamicsTrace]:
     """Run seeded best-response dynamics from the empty topology.
 
@@ -617,10 +623,9 @@ def best_response_dynamics(
     the moves since then forever. It is completed to ``max_moves`` by
     repeating those steps, byte for byte what scanning them would give. A
     repeated topology hash is confirmed link by link before it counts.
-    Raises ValueError when the scenario is invalid or ``geometry``, which
-    only the CLI passes, is another's (``_Geometry.of``).
+    Raises ValueError when the scenario is invalid (``_pairings``).
     """
-    pairings = _Geometry.of(scenario, geometry).pairings
+    pairings = _pairings(scenario)
     evaluator = _Evaluator(scenario)
     node_order = list(evaluator.ids)
     pair_order = sorted(pairings)
@@ -706,11 +711,11 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     their combinations, and a pair that improves no pairing at one end is dropped. Each pairing choice of S is then
     checked exactly against every cut and the pairs left, priced per combination of a node's links in rows reused
     wherever the node, the move, its linked pairs and its parts before and after recur. Refuses scenarios over
-    ``max_nodes``: masks grow as 2^pairs. Raises ValueError when the scenario is invalid (``_Geometry.of``).
+    ``max_nodes``: masks grow as 2^pairs. Raises ValueError when the scenario is invalid (``_pairings``).
     """
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
-    pairings = _Geometry.of(scenario).pairings
+    pairings = _pairings(scenario)
     pair_order = sorted(pairings)
     evaluator = _Evaluator(scenario)
     nears, closed = _subset_masks(evaluator, pair_order)

@@ -55,15 +55,19 @@ def run_cli(*argv):
 
 
 def test_a_command_builds_one_pairing_table(monkeypatch, tmp_path):
-    # the table depends only on the nodes and the path-loss exponent, so one serves every run, check and criterion
-    builds, table = [], game.pairing_table
+    # the table depends only on the nodes and the path-loss exponent, so one serves every run, check and criterion;
+    # the engine checks each config object once
+    builds, checks, table, check = [], [], game.pairing_table, game.validate_scenario
+    monkeypatch.setattr(game, "_memo", ((), None, {}))
     monkeypatch.setattr(game, "pairing_table", lambda scenario: builds.append(scenario.config.gamma) or table(scenario))
+    monkeypatch.setattr(game, "validate_scenario", lambda nodes, config: checks.append(config.gamma) or check(nodes, config))
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--scenario", FIXTURE_570, "--gamma", "560:570:10", "--seeds", "2", "--out", str(out)) == 0
-    assert len(out.read_text().splitlines()) == 1 + 2 * 2 and builds == [570.0]
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2 and builds == [560.0] and checks == [560.0, 570.0]
     builds.clear()
+    checks.clear()
     assert run_cli("run", "--scenario", FIXTURE_570, "--out", str(tmp_path / "run")) == 0
-    assert builds == [570.0]
+    assert builds == checks == [570.0]
 
 
 def test_run_gamma570_fixture(tmp_path):

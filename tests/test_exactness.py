@@ -398,6 +398,7 @@ def test_dynamics_do_not_depend_on_pairing_table_order(monkeypatch):
     expected = [best_response_dynamics(scenario, seed=seed, max_moves=200) for scenario, seed in runs]
     table = game.pairing_table
     monkeypatch.setattr(game, "pairing_table", lambda scenario: dict(reversed(table(scenario).items())))
+    monkeypatch.setattr(game, "_memo", ((), None, {}))  # a table remembered from the runs above would bypass the patch
     assert [best_response_dynamics(scenario, seed=seed, max_moves=200) for scenario, seed in runs] == expected
 
 

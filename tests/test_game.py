@@ -432,40 +432,71 @@ def test_pairing_table_holds_exactly_the_feasible_pairings():
         assert table == feasible_pairings(scenario)
 
 
-def test_a_shared_geometry_gives_the_same_results_and_refuses_another_scenario():
+def test_the_engine_remembers_the_last_scenario_by_identity(monkeypatch):
+    builds, table = [], game.pairing_table
+    monkeypatch.setattr(game, "_memo", ((), None, {}))
+    monkeypatch.setattr(game, "pairing_table", lambda scenario: builds.append(scenario) or table(scenario))
     fixture = load_scenario(fixture_path("smart_home_gamma570.json"))
-    geometry = game._Geometry(fixture)
-    for gamma in (500.0, 570.0):  # gamma, like alpha and h_max, is a per-run input
-        scenario = Scenario(fixture.nodes, dataclasses.replace(fixture.config, gamma=gamma))
-        for seed in (0, 2):
-            topology, trace = best_response_dynamics(scenario, seed=seed, max_moves=200)
-            assert best_response_dynamics(scenario, seed=seed, max_moves=200, geometry=geometry) == (topology, trace)
-            for checked in (topology, Topology.empty(fixture.nodes)):
-                shared = is_pairwise_stable(checked, scenario.config, geometry=geometry)
-                assert shared == is_pairwise_stable(checked, scenario.config)
-        assert criteria_report(scenario, geometry=geometry) == criteria_report(scenario)
+    again = load_scenario(fixture_path("smart_home_gamma570.json"))
+    assert again == fixture and again.nodes[0] is not fixture.nodes[0]
+    for scenario in (fixture, again, fixture):  # equal, but each read afresh: a table keyed by == would serve all three
+        criteria_report(scenario)
+        best_response_dynamics(scenario, max_moves=50)
+    assert len(builds) == 3
+    # warm, with the fixture remembered, as cold: a new table for other nodes or exponent, the same for another gamma
     moved = dataclasses.replace(fixture.nodes[0], position=(1.0, 1.0))
     others = [
         Scenario((moved, *fixture.nodes[1:]), fixture.config),
-        Scenario(fixture.nodes[1:], fixture.config),
+        Scenario(fixture.nodes[:-1], fixture.config),  # a prefix of the remembered nodes
         Scenario(fixture.nodes, dataclasses.replace(fixture.config, path_loss_exponent=3.0)),
+        Scenario(fixture.nodes, dataclasses.replace(fixture.config, gamma=500.0)),
     ]
-
-    def calls(scenario):
-        return [
-            lambda: best_response_dynamics(scenario, geometry=geometry),
-            lambda: is_pairwise_stable(Topology.empty(scenario.nodes), scenario.config, geometry=geometry),
-            lambda: criteria_report(scenario, geometry=geometry),
-        ]
-
+    runs = [criteria_report, lambda scenario: best_response_dynamics(scenario, seed=2, max_moves=200)]
     for other in others:
-        for call in calls(other):
-            with pytest.raises(ValueError, match="the geometry was built for other nodes or another path_loss_exponent"):
-                call()
-    # a shared geometry does not excuse a run's own config from its check
-    for call in calls(Scenario(fixture.nodes, dataclasses.replace(fixture.config, h_max=0))):
-        with pytest.raises(ValueError, match="config.h_max: must be a positive integer, got 0"):
-            call()
+        for run in runs:
+            criteria_report(fixture)
+            warm = run(other)
+            monkeypatch.setattr(game, "_memo", ((), None, {}))
+            assert warm == run(other)
+            assert warm != run(fixture)
+    # remembered nodes do not excuse a config from its check: 5.0 == 5, but only 5 is a valid h_max
+    empty = Topology.empty(fixture.nodes)
+    checked = [
+        criteria_report,
+        best_response_dynamics,
+        lambda scenario: is_pairwise_stable(empty, scenario.config),
+        lambda scenario: propose_add(empty, 0, 0, 1, 0, scenario.config),
+    ]
+    for h_max in (0, 5.0):
+        scenario = Scenario(fixture.nodes, dataclasses.replace(fixture.config, h_max=h_max))
+        for call in checked:
+            criteria_report(fixture)
+            with pytest.raises(ValueError, match=f"config.h_max: must be a positive integer, got {h_max}"):
+                call(scenario)
+
+
+def test_single_queries_check_their_scenario():
+    # they priced invalid configs: h_max=0 declined the link, alpha=-1.0 and gamma=0.5 accepted it at -inf, and
+    # delta_cost_add and delta_cost_remove raised IncomparableCostError; wlan to bluetooth was rejected as infeasible
+    fixture = load_scenario(fixture_path("smart_home_gamma570.json"))
+    link = Link(0, 0, 1, 0)
+    empty, linked = Topology.empty(fixture.nodes), Topology(fixture.nodes, frozenset({link}))
+    issues = {
+        "h_max": (0, "config.h_max: must be a positive integer, got 0"),
+        "alpha": (-1.0, "config.alpha: must be positive, got -1.0"),
+        "gamma": (0.5, "config.gamma: must be >= 1, got 0.5"),
+    }
+    for field, (value, message) in issues.items():
+        config = dataclasses.replace(fixture.config, **{field: value})
+        queries = [
+            lambda: propose_add(empty, 0, 0, 1, 0, config),
+            lambda: propose_add(empty, 0, 0, 1, 1, config),  # a pairing the table lacks
+            lambda: delta_cost_add(fixture.nodes[0], empty, link, config),
+            lambda: delta_cost_remove(fixture.nodes[0], linked, link, config),
+        ]
+        for query in queries:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                query()
 
 
 # -- dynamics ----------------------------------------------------------------------
