@@ -315,10 +315,7 @@ def _load_validated_scenario(path: str) -> Scenario | None:
     return scenario
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_validated_scenario(args.scenario)
-    if scenario is None:
-        return 1
+def cmd_run(args: argparse.Namespace, scenario: Scenario) -> int:
     out_dir = Path(args.out)
     if not _write_files(out_dir, {}):  # an unusable --out fails before the run
         return 1
@@ -340,10 +337,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if trace.converged else 2
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    scenario = _load_validated_scenario(args.scenario)
-    if scenario is None:
-        return 1
+def cmd_check(args: argparse.Namespace, scenario: Scenario) -> int:
     topology = _read_input("topology", args.topology, lambda path: load_topology(path, scenario))
     if topology is None:
         return 1
@@ -378,10 +372,7 @@ def _parse_gamma_range(text: str) -> list[float]:
     return values
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _load_validated_scenario(args.scenario)
-    if scenario is None:
-        return 1
+def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> int:
     try:
         gammas = _parse_gamma_range(args.gamma)
     except ValueError as exc:
@@ -474,7 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         if value < minimum:
             print(f"error: --{flag.replace('_', '-')} must be >= {minimum}, got {value}", file=sys.stderr)
             return 1
-    return args.func(args)
+    scenario = _load_validated_scenario(args.scenario)
+    return 1 if scenario is None else args.func(args, scenario)
 
 
 if __name__ == "__main__":

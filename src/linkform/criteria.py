@@ -77,13 +77,10 @@ def _side_costs(
     overflows to inf.
     """
     cfg = scenario.config
-    low = owner.id < peer.id
+    side = int(owner.id > peer.id)  # the owner's place in the pair: 0 reads r_a and sigma_a, 1 r_b and sigma_b
     costs: list[tuple[float, int, int]] = []
-    for option in pairings.get((owner.id, peer.id) if low else (peer.id, owner.id), ()):
-        if low:
-            r_own, r_peer, sigma_own = option.r_a, option.r_b, option.sigma_a
-        else:
-            r_own, r_peer, sigma_own = option.r_b, option.r_a, option.sigma_b
+    for option in pairings.get((peer.id, owner.id) if side else (owner.id, peer.id), ()):
+        r_own, r_peer, sigma_own = option[side], option[1 - side], option[4 + side]
         beta = bandwidth_ratio(owner.interfaces[r_own], owner)
         cost = cfg.alpha * congestion * owner.energy_weight * sigma_own / beta if sigma_own else 0.0
         costs.append((cost, r_own, r_peer))

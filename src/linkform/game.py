@@ -285,8 +285,9 @@ class _Evaluator:
         return _state(self.cfg.gamma, _link_cost(self.cfg.alpha, _unit_sums(own)), *(parts or self.reach(i, own)))
 
     def states(self) -> dict[int, State]:
-        """Every node's state; rebuilds the balls, ``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``, and sums."""
-        alpha, gamma, ends, ic_mask = self.cfg.alpha, self.cfg.gamma, self.ends, self.ic_mask
+        """Every node's state; rebuilds the balls, ``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``, and the
+        sums, ``G(i)`` by weighing the hop counts of ``_parts`` over ``B_2..B_h`` (a finite state's ``B_h`` is full)."""
+        alpha, gamma, ends = self.cfg.alpha, self.cfg.gamma, self.ends
         level, grown = self.bit, dict(zip(self.ids, self.near))  # B_0, and B_1 from the masks
         self.balls: dict[int, list[int]] = {i: [ball] for i, ball in level.items()}
         for k in range(self.h):
@@ -302,7 +303,6 @@ class _Evaluator:
             for i, row in self.balls.items():
                 row.append(grown[i])
             level = grown
-        n_ic, n_non_ic = self.n_ic, self.n - self.n_ic
         states: dict[int, State] = {}
         self.sums: dict[int, _Sums] = {}  # finite states only
         for i, row in self.balls.items():
@@ -313,12 +313,10 @@ class _Evaluator:
             state = states[i] = _state(gamma, _link_cost(alpha, units), *parts)
             if state[0] == math.inf:
                 continue
-            far = 0.0
-            for ball in row[2 : self.h]:  # G(i), the weighted hop terms for 2 <= k < h
-                ic_seen = (ball & ic_mask).bit_count()
-                far += gamma * (n_ic - ic_seen) + (n_non_ic - (ball.bit_count() - ic_seen))
+            far_ic, far_other, _, _ = self._parts(row[2:] or row[-1:], 0, 0.0)  # G(i)'s hop counts over B_2..B_h
             margin = state[0] * self.tolerance
-            self.sums[i] = _Sums(margin, units, inverse_degrees, parts[2], 1.0 / (len(own) + 1), far + parts[2] + margin)
+            room = gamma * far_ic + far_other + parts[2] + margin
+            self.sums[i] = _Sums(margin, units, inverse_degrees, parts[2], 1.0 / (len(own) + 1), room)
         return states
 
     def grown(self, a: int, b: int) -> tuple[int, Parts]:
@@ -385,7 +383,7 @@ class _Sums(NamedTuple):
     inverse_degrees: float  # sum over the peers of 1 / degree
     bridging: float
     share: float  # 1 / (degree + 1), the bridging numerator once a link is added
-    room: float  # G(i) + bridging + margin; G(i) caps what a new link saves in hops beyond its own peer
+    room: float  # G(i) + bridging + margin; G(i) = gamma * far_ic + far_other caps a new link's hop saving past its peer
 
 
 def _unit_sums(ends: Ends) -> dict[int, tuple[float, int]]:
@@ -567,9 +565,7 @@ def propose_add(
     _pairings(scenario := Scenario(topology.nodes, config))
     node_i = topology.node(i)
     node_j = topology.node(j)
-    if i == j or topology.has_pair(i, j):
-        return Rejection(kind="infeasible")
-    if not link_feasible(node_i, r_i, node_j, r_j, config):
+    if i == j or topology.has_pair(i, j) or not link_feasible(node_i, r_i, node_j, r_j, config):
         return Rejection(kind="infeasible")
     link = Link(i, r_i, j, r_j)
     states = _toggle_states(scenario, topology.links, link, link.pair)
@@ -734,7 +730,6 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
         (tuple(j for j, _ in combo), tuple(end for _, end in combo))
         for combo in itertools.product(*map(enumerate, held(i, linked)))
     ])
-    memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}  # verdicts within one subset
 
     @functools.cache  # verdict rows by everything they read, shared across subsets
     def priced(i: int, k: int, linked: int, before_parts: Parts, after_parts: tuple) -> dict:
@@ -750,13 +745,12 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
                 row[index] = sum(1 << j for j, after in enumerate(grown) if after < before)
         return row
 
+    @functools.cache  # by node, move and subset, for one call
     def verdicts(i: int, k: int, subset: int) -> dict[tuple[int, ...], int]:
         """By the pairings of i's links: a mask of absent k's improving pairings, or for k = -1 if a cut improves."""
-        if (i, k) not in memo:
-            cuts = (parts(subset ^ 1 << cut, i) for cut in mine[i] if subset >> cut & 1)
-            after = parts(subset | 1 << k, i) if k >= 0 else tuple(cuts)
-            memo[i, k] = priced(i, k, subset & owned[i], parts(subset, i), after)
-        return memo[i, k]
+        cuts = (parts(subset ^ 1 << cut, i) for cut in mine[i] if subset >> cut & 1)
+        after = parts(subset | 1 << k, i) if k >= 0 else tuple(cuts)
+        return priced(i, k, subset & owned[i], parts(subset, i), after)
 
     def blocks(k: int, subset: int, absent: list) -> bool:  # certificates: absent k improves both ends at every combination
         accepted = possible = -1  # k's pairings, by the certificates of the ends read so far
@@ -773,7 +767,7 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     stable: set[Topology] = set()
     blockers = list(range(len(pair_order)))  # the pair that blocked most recently first
     for subset in itertools.compress(range(len(nears)), closed):
-        memo, absent = {}, []  # verdicts, and (a, b, k) per absent pair k that the certificates leave open, within S
+        absent = []  # (a, b, k) per absent pair k that the certificates leave open, within S
         blocker = next((k for k in blockers if not subset >> k & 1 and blocks(k, subset, absent)), None)
         if blocker is not None:
             blockers.insert(0, blockers.pop(blockers.index(blocker)))

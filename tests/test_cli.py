@@ -360,55 +360,59 @@ def set_at(path, value):
     return edit
 
 
+BAD_SCENARIOS = {  # test id: (edit, the error line it gives)
+    "weight-string": (
+        set_at(("nodes", 3, "energy_weight"), "x"),
+        "nodes[3].energy_weight: expected a number, got a string",
+    ),
+    "weight-null": (set_at(("nodes", 3, "energy_weight"), None), "nodes[3].energy_weight: expected a number, got null"),
+    "gain-string": (
+        set_at(("nodes", 0, "interfaces", 1, "antenna_gain"), "x"),
+        "nodes[0].interfaces[1].antenna_gain: expected a number, got a string",
+    ),
+    "ic-string": (set_at(("nodes", 3, "internet_connected"), "no"), "nodes[3].internet_connected: expected a boolean"),
+    "weight-typo": (set_at(("nodes", 3, "energy_wieght"), 2.0), "nodes[3].energy_wieght: unknown field"),
+    "gain-typo": (
+        set_at(("nodes", 0, "interfaces", 1, "antena_gain"), 2.0),
+        "nodes[0].interfaces[1].antena_gain: unknown field",
+    ),
+    "nodez": (set_at(("nodez",), []), "nodez: unknown field"),
+    "gamma-1e308": (set_at(("config", "gamma"), 1e308), "config.gamma: gamma * h_max * (nodes - 1) must be finite"),
+    "gamma-1e400": (set_at(("config", "gamma"), 10**400), "config.gamma: number out of range"),
+    "h_max-1e400": (set_at(("config", "h_max"), 10**400), "config.gamma: gamma * h_max * (nodes - 1) must be finite"),
+    "alpha-0": (set_at(("config", "alpha"), 0), "config.alpha: must be positive, got 0.0"),
+    "alpha-1e308": (set_at(("config", "alpha"), 1e308), "config.alpha: alpha * (nodes - 1) must be finite"),
+    "h_max-0": (set_at(("config", "h_max"), 0), "config.h_max: must be a positive integer, got 0"),
+    "exponent-1.5": (set_at(("config", "path_loss_exponent"), 1.5), "config.path_loss_exponent: must be >= 2, got 1.5"),
+    "position-nan": (
+        set_at(("nodes", 3, "position", 0), float("nan")),
+        "node 3.position: must be a finite (x, y) pair",
+    ),
+    "kind-empty": (
+        set_at(("nodes", 0, "interfaces", 1, "kind"), ""),
+        "node 0.interfaces[1].kind: must be a non-empty string",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "edit, error",
+    "command, edit, error",
     [
-        (set_at(("nodes", 3, "energy_weight"), "x"), "nodes[3].energy_weight: expected a number, got a string"),
-        (set_at(("nodes", 3, "energy_weight"), None), "nodes[3].energy_weight: expected a number, got null"),
-        (
-            set_at(("nodes", 0, "interfaces", 1, "antenna_gain"), "x"),
-            "nodes[0].interfaces[1].antenna_gain: expected a number, got a string",
-        ),
-        (set_at(("nodes", 3, "internet_connected"), "no"), "nodes[3].internet_connected: expected a boolean"),
-        (set_at(("nodes", 3, "energy_wieght"), 2.0), "nodes[3].energy_wieght: unknown field"),
-        (set_at(("nodes", 0, "interfaces", 1, "antena_gain"), 2.0), "nodes[0].interfaces[1].antena_gain: unknown field"),
-        (set_at(("nodez",), []), "nodez: unknown field"),
-        (set_at(("config", "gamma"), 1e308), "config.gamma: gamma * h_max * (nodes - 1) must be finite"),
-        (set_at(("config", "gamma"), 10**400), "config.gamma: number out of range"),
-        (set_at(("config", "h_max"), 10**400), "config.gamma: gamma * h_max * (nodes - 1) must be finite"),
-        (set_at(("config", "alpha"), 0), "config.alpha: must be positive, got 0.0"),
-        (set_at(("config", "alpha"), 1e308), "config.alpha: alpha * (nodes - 1) must be finite"),
-        (set_at(("config", "h_max"), 0), "config.h_max: must be a positive integer, got 0"),
-        (set_at(("config", "path_loss_exponent"), 1.5), "config.path_loss_exponent: must be >= 2, got 1.5"),
-        (set_at(("nodes", 3, "position", 0), float("nan")), "node 3.position: must be a finite (x, y) pair"),
-        (set_at(("nodes", 0, "interfaces", 1, "kind"), ""), "node 0.interfaces[1].kind: must be a non-empty string"),
-    ],
-    ids=[
-        "weight-string",
-        "weight-null",
-        "gain-string",
-        "ic-string",
-        "weight-typo",
-        "gain-typo",
-        "nodez",
-        "gamma-1e308",
-        "gamma-1e400",
-        "h_max-1e400",
-        "alpha-0",
-        "alpha-1e308",
-        "h_max-0",
-        "exponent-1.5",
-        "position-nan",
-        "kind-empty",
+        pytest.param(command, edit, error, id=name if command == "run" else f"{command}-{name}")
+        for command in ("run", "check", "sweep")
+        for name, (edit, error) in BAD_SCENARIOS.items()
     ],
 )
-def test_bad_scenario_exits_1_with_path(tmp_path, capsys, edit, error):
+def test_bad_scenario_exits_1_with_path(tmp_path, capsys, command, edit, error):
+    # every command reads the scenario before anything else, so the topology need not exist, and writes nothing
     document = copy.deepcopy(FIXTURE_DOCUMENT)
     edit(document)
-    scenario = tmp_path / "scenario.json"
+    scenario, out = tmp_path / "scenario.json", tmp_path / "out"
     scenario.write_text(json.dumps(document))
-    assert run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path / "o")) == 1
+    rest = {"run": (), "check": ("--topology", str(tmp_path / "topology.json")), "sweep": ("--gamma", "570")}[command]
+    assert run_cli(command, "--scenario", str(scenario), *rest, "--out", str(out)) == 1
     assert f"error: {error}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def edit_nodes(node_ids, iface_fields, **node_fields):

@@ -8,8 +8,9 @@ family that severs links (``fixture_sample_scenario``) and one that does not
 (``free_scenario``). So must every single-deviation query, and the parts
 that the enumeration reads from each pair subset's neighbourhood masks must
 equal the engine's grown and severed parts, and its addition certificates must
-agree with exact pricing at every pairing combination they decide. Parts hold no
-gamma: they must be the same at every gamma, which only ``_state`` applies.
+agree with exact pricing at every pairing combination they decide. The scans'
+certificates must never refute a move that exact pricing finds improving. Parts
+hold no gamma: they must be the same at every gamma, which only ``_state`` applies.
 """
 
 from __future__ import annotations
@@ -296,6 +297,54 @@ def test_join_certificates_agree_with_exact_pricing():
                             decided["ruled out"] += 1
                         decided["pairings"] += 1
     assert decided["accepted"] > 100 and decided["ruled out"] > 10, decided
+
+
+def scan_certificate_cases():
+    """(family, scenario, link set): 4 random link sets of each severing- and free-family scenario, seeds 0-29, and
+    every link set that the 570 fixture's dynamics reach at gamma 1, 10, 570 and 783, scan seeds 0-2, 60 moves."""
+    for seed in range(30):
+        for scenario in (fixture_sample_scenario(seed)[0], free_scenario(seed, max_nodes=6)):
+            rng = random.Random(seed)
+            for _ in range(4):
+                yield "random", scenario, random_topology(scenario, rng).links
+    for gamma in (1.0, 10.0, 570.0, 783.0):
+        scenario = Scenario(FIXTURES[0].nodes, dataclasses.replace(FIXTURES[0].config, gamma=gamma))
+        reached = {frozenset()}
+        for scan_seed in range(3):
+            links = set()
+            for step in best_response_dynamics(scenario, seed=scan_seed, max_moves=60)[1].steps:
+                links ^= {step.move.link}
+                reached.add(frozenset(links))
+        for links in reached:
+            yield "dynamics", scenario, links
+
+
+def test_scan_certificates_never_refute_an_improving_move():
+    # the dynamics' O(1) certificates only reject: a cut that ``cut_refuted`` refutes leaves its node no lower when
+    # priced exactly by ``state``, and no option of a pair end that ``join_refuted`` refutes improves it when priced
+    # from ``grown`` parts
+    refuted, unsound = collections.Counter(), collections.Counter()
+    for family, scenario, links in scan_certificate_cases():
+        evaluator = game._Evaluator(scenario, links)
+        base = evaluator.states()
+        for i in evaluator.sums:
+            own = evaluator.ends[i]
+            for at, end in enumerate(own):
+                if evaluator.cut_refuted(i, end):
+                    refuted[family, "cut"] += 1
+                    unsound[family, "cut"] += evaluator.state(i, own[:at] + own[at + 1 :]) < base[i]
+        for pair, options in game.pairing_table(scenario).items():
+            if pair in evaluator.links:
+                continue
+            for side, (x, y) in enumerate((pair, pair[::-1])):
+                if evaluator.join_refuted(x, y, options, side):
+                    at, parts = evaluator.grown(x, y)
+                    own = evaluator.ends[x]
+                    trials = ([*own[:at], (y, option[side], option[side + 2]), *own[at:]] for option in options)
+                    refuted[family, "join"] += 1
+                    unsound[family, "join"] += any(evaluator.state(x, trial, parts) < base[x] for trial in trials)
+    assert not any(unsound.values()), (unsound, refuted)
+    assert all(refuted[family, kind] > 100 for family in ("random", "dynamics") for kind in ("cut", "join")), refuted
 
 
 def test_stability_equals_oracle_at_small_hop_caps():
