@@ -65,6 +65,10 @@ class ScenarioFormatError(ValueError):
         super().__init__("; ".join(str(issue) for issue in issues))
 
 
+class _InputError(Exception):
+    """One-line input error; ``main`` prints it as an ``error:`` line and exits 1."""
+
+
 # -- JSON codec ----------------------------------------------------------------
 
 # Older scenario files name the only scan order there is; any other value is rejected.
@@ -275,50 +279,36 @@ def fixture_path(name: str) -> Path:
 # -- commands ------------------------------------------------------------------
 
 
-def _fail_issues(issues: list[ValidationIssue]) -> int:
-    for issue in issues:
-        print(f"error: {issue}", file=sys.stderr)
-    return 1
-
-
-def _write_files(out_dir: Path, files: dict[str, str]) -> bool:
-    """Create ``out_dir`` and write each named text into it; False after an error line on failure."""
+def _write_files(out_dir: Path, files: dict[str, str]) -> None:
+    """Create ``out_dir`` and write each named text into it."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out_dir / name).write_text(text, encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
-        return False
-    return True
+        raise _InputError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
 
 
 def _read_input(what: str, path: str, load: Callable[[str], Any]) -> Any:
-    """``load(path)``, or None after error lines when the file is missing, malformed or invalid."""
+    """``load(path)``: ScenarioFormatError when the file is malformed or invalid, _InputError when it cannot be read."""
     try:
         return load(path)
-    except ScenarioFormatError as exc:
-        _fail_issues(exc.issues)
+    except ScenarioFormatError:
+        raise
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read {what} {path}: {exc}", file=sys.stderr)
-    return None
+        raise _InputError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _load_validated_scenario(path: str) -> Scenario | None:
-    scenario = _read_input("scenario", path, load_scenario)
-    if scenario is None:
-        return None
-    issues = validate_scenario(scenario.nodes, scenario.config)
+def _checked(scenarios: list[Scenario]) -> None:
+    """Raise ScenarioFormatError with every issue ``validate_scenario`` finds in ``scenarios``."""
+    issues = [issue for scenario in scenarios for issue in validate_scenario(scenario.nodes, scenario.config)]
     if issues:
-        _fail_issues(issues)
-        return None
-    return scenario
+        raise ScenarioFormatError(issues)
 
 
 def cmd_run(args: argparse.Namespace, scenario: Scenario) -> int:
     out_dir = Path(args.out)
-    if not _write_files(out_dir, {}):  # an unusable --out fails before the run
-        return 1
+    _write_files(out_dir, {})  # an unusable --out fails before the run
     topology, trace = best_response_dynamics(scenario, seed=args.seed, max_moves=args.max_moves)
     report = build_run_report(scenario, args.seed, topology, trace)
     artifacts = {
@@ -327,8 +317,7 @@ def cmd_run(args: argparse.Namespace, scenario: Scenario) -> int:
         "topology.json": json.dumps(topology_to_dict(topology), indent=2, sort_keys=True) + "\n",
         "topology.dot": topology_to_dot(topology),
     }
-    if not _write_files(out_dir, artifacts):
-        return 1
+    _write_files(out_dir, artifacts)
     status = "converged" if trace.converged else "did not converge"
     print(
         f"{status} after {len(trace.steps)} moves; stable={report['stability']['stable']}; "
@@ -339,13 +328,11 @@ def cmd_run(args: argparse.Namespace, scenario: Scenario) -> int:
 
 def cmd_check(args: argparse.Namespace, scenario: Scenario) -> int:
     topology = _read_input("topology", args.topology, lambda path: load_topology(path, scenario))
-    if topology is None:
-        return 1
     report = is_pairwise_stable(topology, scenario.config)
     payload = json.dumps(stability_to_dict(report), indent=2, sort_keys=True)
     print(payload)
-    if args.out and not _write_files(Path(args.out), {"stability.json": payload + "\n"}):
-        return 1
+    if args.out:
+        _write_files(Path(args.out), {"stability.json": payload + "\n"})
     return 0 if report.stable else 2
 
 
@@ -376,18 +363,14 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> int:
     try:
         gammas = _parse_gamma_range(args.gamma)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _InputError(str(exc)) from None
     sweep = [Scenario(scenario.nodes, dataclasses.replace(scenario.config, gamma=gamma)) for gamma in gammas]
-    issues = [issue for swept in sweep for issue in validate_scenario(swept.nodes, swept.config)]
-    if issues:
-        return _fail_issues(issues)
+    _checked(sweep)
 
     try:  # opened before the sweep so that an unwritable path fails fast
         handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+        raise _InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     with handle as out:
         writer = None  # the header is the first row's keys
         for swept in sweep:
@@ -420,7 +403,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+        raise _InputError(f"{name} must be an integer, got {text!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -453,20 +436,24 @@ def main(argv: list[str] | None = None) -> int:
     sweep_parser.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    try:  # an integer default is read only where its flag is absent, so a bad one fails only there
+    try:  # the one place an input error becomes error lines; any other exception is a bug and keeps its traceback
         for flag, name, default in (("seed", "LINKFORM_SEED", 0), ("max_moves", "LINKFORM_MAX_MOVES", DEFAULT_MAX_MOVES)):
-            if getattr(args, flag, 0) is None:
+            if getattr(args, flag, 0) is None:  # an integer default is read only where its flag is absent
                 setattr(args, flag, _env_int(name, default))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for flag, minimum in (("max_moves", 0), ("seeds", 1)):
-        value = getattr(args, flag, minimum)
-        if value < minimum:
-            print(f"error: --{flag.replace('_', '-')} must be >= {minimum}, got {value}", file=sys.stderr)
-            return 1
-    scenario = _load_validated_scenario(args.scenario)
-    return 1 if scenario is None else args.func(args, scenario)
+        for flag, minimum in (("max_moves", 0), ("seeds", 1)):
+            value = getattr(args, flag, minimum)
+            if value < minimum:
+                raise _InputError(f"--{flag.replace('_', '-')} must be >= {minimum}, got {value}")
+        scenario = _read_input("scenario", args.scenario, load_scenario)
+        _checked([scenario])
+        return args.func(args, scenario)
+    except ScenarioFormatError as exc:
+        errors = exc.issues
+    except _InputError as exc:
+        errors = [exc]
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -150,7 +150,7 @@ def pairing_table(scenario: Scenario) -> PairingTable:
 
     Feasible means ``link_feasible`` holds; a unit cost may still be inf.
     Options are ordered by (r_a, r_b); pairs with no feasible pairing are absent.
-    The scenario must be valid (``_pairings`` checks it).
+    The scenario must be valid (``_pairings`` checks it, for ``_Evaluator`` and ``criteria_report``).
     """
     table: PairingTable = {}
     for a, b in itertools.combinations(scenario.nodes, 2):
@@ -190,16 +190,17 @@ def _pairings(scenario: Scenario) -> PairingTable:
 class _Evaluator:
     """Incremental cost evaluation for one scenario across candidate link sets.
 
-    Answers state queries as (total cost, peers unreachable within the hop cap) against a small
-    mutable link set: ``links``, each node's ``ends`` (as many as its degree) and ``near``. ``state``
-    prices a node from link ends and parts; one search (``_search``) grows the parts' hop balls from
-    closed-neighbourhood masks by rank: ``state`` and the exact cuts search ``near``, the current
-    links' masks; ``masked_parts`` a subset's. ``states`` rebuilds ``balls[i][k]``, the nodes within
-    k <= min(h_max, n - 1) hops of ``i``, and from them ``sums`` in one pass. Peer sums run in
-    ascending id order, whatever order the links were placed in.
+    Building one checks the scenario and keeps its pairing table as ``pairings`` (``_pairings``) before any link is
+    placed. Answers state queries as (total cost, peers unreachable within the hop cap) against a small mutable link
+    set: ``links``, each node's ``ends`` (as many as its degree) and ``near``. ``state`` prices a node from link ends
+    and parts; one search (``_search``) grows the parts' hop balls from closed-neighbourhood masks by rank: ``state``
+    and the exact cuts search ``near``, the current links' masks; ``masked_parts`` a subset's. ``states`` rebuilds
+    ``balls[i][k]``, the nodes within k <= min(h_max, n - 1) hops of ``i``, and from them ``sums`` in one pass. Peer
+    sums run in ascending id order, whatever order the links were placed in.
     """
 
     def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
+        self.pairings = _pairings(scenario)
         self.cfg = scenario.config
         self.ids: tuple[int, ...] = scenario.ids
         self.n = len(self.ids)
@@ -476,12 +477,7 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
                 yield Remove(link=link, initiator=i, delta=_resolved_delta(before, after))
 
 
-def _additions(
-    evaluator: _Evaluator,
-    base: dict[int, State],
-    pairings: PairingTable,
-    pair_order: Iterable[tuple[int, int]],
-) -> Iterator[Add]:
+def _additions(evaluator: _Evaluator, base: dict[int, State], pair_order: Iterable[tuple[int, int]]) -> Iterator[Add]:
     """The best mutually improving pairing of each absent pair, in pair order.
 
     Best is the lowest delta for ``a``, the lower id, then the lowest
@@ -492,6 +488,7 @@ def _additions(
     pairing, and ``b`` is priced only when ``a`` improves.
     """
     links, ends, state, grown, refuted = evaluator.links, evaluator.ends, evaluator.state, evaluator.grown, evaluator.join_refuted
+    pairings = evaluator.pairings
     for pair in pair_order:
         if pair in links:
             continue
@@ -515,9 +512,8 @@ def _additions(
             yield Add(link=Link(a, r_a, b, r_b), delta_a=delta_a, delta_b=delta_b)
 
 
-def _toggle_states(scenario: Scenario, links: Iterable[Link], link: Link, ids: tuple[int, ...]) -> list[tuple[State, State]]:
-    """(before, after) state of each of ``ids`` when ``link`` is severed if present, else added."""
-    evaluator = _Evaluator(scenario, links)
+def _toggle_states(evaluator: _Evaluator, link: Link, ids: tuple[int, ...]) -> list[tuple[State, State]]:
+    """(before, after) state of each of ``ids`` when ``evaluator`` severs ``link`` if present, else adds it."""
     before = [evaluator.state(i) for i in ids]
     evaluator.toggle(link)
     return list(zip(before, [evaluator.state(i) for i in ids]))
@@ -527,10 +523,10 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
     """Cost change for ``node`` if ``link`` were added; raises when undefined.
 
     Raises IncomparableCostError when both states are infinite, and ValueError
-    when the scenario is invalid, the node is not in the topology or the link
-    is already present or physically infeasible.
+    when the scenario is invalid, a topology link cannot be placed, the node is
+    not in the topology or the link is already present or physically infeasible.
     """
-    _pairings(scenario := Scenario(topology.nodes, config))
+    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     topology.node(node.id)
     if topology.has_pair(link.node_a, link.node_b):
         raise ValueError(f"{link} already present")
@@ -538,18 +534,18 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
         topology.node(link.node_a), link.iface_a, topology.node(link.node_b), link.iface_b, config
     ):
         raise ValueError(f"{link} is not physically feasible")
-    [(before, after)] = _toggle_states(scenario, topology.links, link, (node.id,))
+    [(before, after)] = _toggle_states(evaluator, link, (node.id,))
     return Cost(after[0]).minus(Cost(before[0]))
 
 
 def delta_cost_remove(node: Node, topology: Topology, link: Link, config: GameConfig) -> float:
     """Cost change for ``node`` if it severed ``link``; raises when undefined."""
-    _pairings(scenario := Scenario(topology.nodes, config))
+    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     if link not in topology.links:
         raise ValueError(f"{link} not present")
     if not link.touches(node.id):
         raise ValueError(f"node {node.id} is not an endpoint of {link}")
-    [(before, after)] = _toggle_states(scenario, topology.links, link, (node.id,))
+    [(before, after)] = _toggle_states(evaluator, link, (node.id,))
     return Cost(after[0]).minus(Cost(before[0]))
 
 
@@ -560,15 +556,16 @@ def propose_add(
 
     Returns an Add move iff the pairing is feasible and both endpoints strictly
     improve; otherwise a Rejection naming who withheld consent. Symmetric in
-    (i, j). Raises ValueError when the scenario is invalid, whatever the link.
+    (i, j). Raises ValueError when the scenario is invalid or a topology link
+    cannot be placed, whatever the link.
     """
-    _pairings(scenario := Scenario(topology.nodes, config))
+    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     node_i = topology.node(i)
     node_j = topology.node(j)
     if i == j or topology.has_pair(i, j) or not link_feasible(node_i, r_i, node_j, r_j, config):
         return Rejection(kind="infeasible")
     link = Link(i, r_i, j, r_j)
-    states = _toggle_states(scenario, topology.links, link, link.pair)
+    states = _toggle_states(evaluator, link, link.pair)
     decliners = tuple(node_id for node_id, (before, after) in zip(link.pair, states) if not after < before)
     if decliners:
         return Rejection(kind="declined", declined_by=decliners)
@@ -584,17 +581,15 @@ def is_pairwise_stable(topology: Topology, config: GameConfig) -> StabilityRepor
     """Full deviation scan: every severance incidence, every absent feasible pairing.
 
     Severances are reported by link, then endpoint; additions by pair, each
-    with its best pairing. Raises ValueError when the scenario is invalid (``_pairings``).
+    with its best pairing. Raises ValueError when the scenario is invalid or a link cannot be placed (``_Evaluator``).
     """
-    scenario = Scenario(topology.nodes, config)
-    pairings = _pairings(scenario)
-    evaluator = _Evaluator(scenario, topology.links)
+    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
     base = evaluator.states()
     severance = sorted(
         ((move.initiator, move.link) for move in _severances(evaluator, base, evaluator.ids)),
         key=lambda incidence: (incidence[1], incidence[0]),
     )
-    additions = [move.link for move in _additions(evaluator, base, pairings, sorted(pairings))]
+    additions = [move.link for move in _additions(evaluator, base, sorted(evaluator.pairings))]
     return StabilityReport(
         stable=not severance and not additions,
         severance_violations=tuple(severance),
@@ -619,12 +614,11 @@ def best_response_dynamics(
     the moves since then forever. It is completed to ``max_moves`` by
     repeating those steps, byte for byte what scanning them would give. A
     repeated topology hash is confirmed link by link before it counts.
-    Raises ValueError when the scenario is invalid (``_pairings``).
+    Raises ValueError when the scenario is invalid (``_Evaluator``).
     """
-    pairings = _pairings(scenario)
     evaluator = _Evaluator(scenario)
     node_order = list(evaluator.ids)
-    pair_order = sorted(pairings)
+    pair_order = sorted(evaluator.pairings)
     if seed != 0:
         rng = random.Random(seed)
         rng.shuffle(node_order)
@@ -637,7 +631,7 @@ def best_response_dynamics(
     while len(steps) < max_moves:
         deviations = itertools.chain(
             _severances(evaluator, base, node_order),
-            _additions(evaluator, base, pairings, pair_order),
+            _additions(evaluator, base, pair_order),
         )
         move = next(deviations, None)
         if move is None:
@@ -707,13 +701,13 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
     their combinations, and a pair that improves no pairing at one end is dropped. Each pairing choice of S is then
     checked exactly against every cut and the pairs left, priced per combination of a node's links in rows reused
     wherever the node, the move, its linked pairs and its parts before and after recur. Refuses scenarios over
-    ``max_nodes``: masks grow as 2^pairs. Raises ValueError when the scenario is invalid (``_pairings``).
+    ``max_nodes``: masks grow as 2^pairs. Raises ValueError when the scenario is invalid (``_Evaluator``).
     """
     if len(scenario.nodes) > max_nodes:
         raise ValueError(f"scenario has {len(scenario.nodes)} nodes, cap is {max_nodes}")
-    pairings = _pairings(scenario)
-    pair_order = sorted(pairings)
     evaluator = _Evaluator(scenario)
+    pairings = evaluator.pairings
+    pair_order = sorted(pairings)
     nears, closed = _subset_masks(evaluator, pair_order)
     mine = {i: [k for k, pair in enumerate(pair_order) if i in pair] for i in scenario.ids}  # in peer order
     sides: dict[tuple[int, int], list[tuple[int, int, float]]] = {}  # (node, k): its end of pair k, per pairing

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from generators import clique_suite_scenario, free_scenario, random_graph_scenario, random_topology, uplink_suite_scenario
 import linkform
-from linkform import game
+from linkform import cli, game
 from linkform.cli import (
     ScenarioFormatError,
     _parse_gamma_range,
@@ -413,6 +413,22 @@ def test_bad_scenario_exits_1_with_path(tmp_path, capsys, command, edit, error):
     assert run_cli(command, "--scenario", str(scenario), *rest, "--out", str(out)) == 1
     assert f"error: {error}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+def test_main_reports_only_input_errors(tmp_path, capsys, monkeypatch, command):
+    # main turns input errors into error lines; a ValueError from the engine is a bug and keeps its traceback
+    def fault(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(cli, "best_response_dynamics", fault)
+    monkeypatch.setattr(cli, "is_pairwise_stable", fault)
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps(topology_to_dict(Topology.empty(load_scenario(FIXTURE_570).nodes))))
+    rest = {"run": (), "check": ("--topology", str(topology)), "sweep": ("--gamma", "570")}[command]
+    with pytest.raises(ValueError, match="^engine fault$"):
+        run_cli(command, "--scenario", FIXTURE_570, *rest, "--out", str(tmp_path / "out"))
+    assert "error:" not in capsys.readouterr().err
 
 
 def edit_nodes(node_ids, iface_fields, **node_fields):

@@ -499,6 +499,32 @@ def test_single_queries_check_their_scenario():
                 query()
 
 
+def test_single_queries_read_the_topology_first():
+    # a topology with a link the evaluator cannot place raises its error whatever the query; they used to answer
+    # i == j with an infeasible Rejection, an absent severance with "not present" and name the query's unknown node
+    fixture = load_scenario(fixture_path("smart_home_gamma570.json"))
+    id0, id1, id2, id3 = fixture.ids[:4]
+    unplaceable = {
+        "unknown node id 999": {Link(id0, 0, 999, 0)},
+        f"node {id0} has no interface 9": {Link(id0, 9, id1, 0)},
+        f"node pair {(id0, id1)} linked more than once": {Link(id0, 0, id1, 0), Link(id0, 1, id1, 1)},
+    }
+    invalid = dataclasses.replace(fixture.config, gamma=0.5)
+    for message, links in unplaceable.items():
+        topology = Topology(fixture.nodes, frozenset(links))
+        # an invalid scenario still raises before the topology is read
+        for config, expected in ((fixture.config, message), (invalid, "config.gamma: must be >= 1, got 0.5")):
+            queries = [
+                lambda: propose_add(topology, id0, 0, id0, 0, config),
+                lambda: propose_add(topology, id2, 0, id3, 0, config),
+                lambda: delta_cost_add(fixture.nodes[0], topology, Link(id0, 0, 777, 0), config),
+                lambda: delta_cost_remove(fixture.nodes[0], topology, Link(id2, 0, id3, 0), config),
+            ]
+            for query in queries:
+                with pytest.raises(ValueError, match=re.escape(expected)):
+                    query()
+
+
 # -- dynamics ----------------------------------------------------------------------
 
 
