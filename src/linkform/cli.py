@@ -36,7 +36,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
-from . import criteria as criteria_mod
+from . import criteria as criteria_mod, game
 from .cost import total_cost
 from .game import (
     DEFAULT_MAX_MOVES,
@@ -373,28 +373,29 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> int:
         raise _InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     with handle as out:
         writer = None  # the header is the first row's keys
-        for swept in sweep:
-            report = criteria_mod.criteria_report(swept)
-            for seed in range(args.seeds):
-                topology, trace = best_response_dynamics(swept, seed=seed, max_moves=args.max_moves)
-                structure = criteria_mod.check_structure(topology)
-                row = {
-                    "gamma": swept.config.gamma,
-                    "seed": seed,
-                    "converged": trace.converged,
-                    "moves": len(trace.steps),
-                    "clique_criterion": report.clique.holds,
-                    "single_ic_link_criterion": report.single_ic_link.holds,
-                    "star_criterion": report.star.holds,
-                    "ic_clique": structure.ic_clique,
-                    "max_ic_links_per_non_ic": structure.max_ic_links_per_non_ic,
-                    "max_non_ic_degree": structure.max_non_ic_degree,
-                    "relay_count": len(structure.relays),
-                }
-                if writer is None:
-                    writer = csv.DictWriter(out, fieldnames=list(row))
-                    writer.writeheader()
-                writer.writerow(row)
+        with game._sharing():  # the rows price each link set's gamma-free passes once
+            for swept in sweep:
+                report = criteria_mod.criteria_report(swept)
+                for seed in range(args.seeds):
+                    topology, trace = best_response_dynamics(swept, seed=seed, max_moves=args.max_moves)
+                    structure = criteria_mod.check_structure(topology)
+                    row = {
+                        "gamma": swept.config.gamma,
+                        "seed": seed,
+                        "converged": trace.converged,
+                        "moves": len(trace.steps),
+                        "clique_criterion": report.clique.holds,
+                        "single_ic_link_criterion": report.single_ic_link.holds,
+                        "star_criterion": report.star.holds,
+                        "ic_clique": structure.ic_clique,
+                        "max_ic_links_per_non_ic": structure.max_ic_links_per_non_ic,
+                        "max_non_ic_degree": structure.max_non_ic_degree,
+                        "relay_count": len(structure.relays),
+                    }
+                    if writer is None:
+                        writer = csv.DictWriter(out, fieldnames=list(row))
+                        writer.writeheader()
+                    writer.writerow(row)
     return 0
 
 

@@ -23,6 +23,8 @@ the lowest interfaces.
 from __future__ import annotations
 
 import collections
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -187,16 +189,32 @@ def _pairings(scenario: Scenario) -> PairingTable:
     return table
 
 
+_shared: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_shared", default=None)
+
+
+@contextlib.contextmanager
+def _sharing() -> Iterator[None]:
+    """For the block, evaluators over the first one's pairing table (by identity), alpha and h share each link set's
+    gamma-free passes, keyed by its ``Link`` set; the others, and every evaluator outside a block, share nothing."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 class _Evaluator:
     """Incremental cost evaluation for one scenario across candidate link sets.
 
-    Building one checks the scenario and keeps its pairing table as ``pairings`` (``_pairings``) before any link is
-    placed. Answers state queries as (total cost, peers unreachable within the hop cap) against a small mutable link
-    set: ``links``, each node's ``ends`` (as many as its degree) and ``near``. ``state`` prices a node from link ends
-    and parts; one search (``_search``) grows the parts' hop balls from closed-neighbourhood masks by rank: ``state``
-    and the exact cuts search ``near``, the current links' masks; ``masked_parts`` a subset's. ``states`` rebuilds
-    ``balls[i][k]``, the nodes within k <= min(h_max, n - 1) hops of ``i``, and from them ``sums`` in one pass. Peer
-    sums run in ascending id order, whatever order the links were placed in.
+    Building one checks the scenario and keeps its pairing table as ``pairings`` (``_pairings``); ``place`` prices a
+    link by its option there, or by ``_pairing`` where the table lacks it. Answers state queries as (total cost, peers
+    unreachable within the hop cap) against a small mutable link set: ``links``, each node's ``ends`` and ``near``.
+    ``state`` prices a node from link ends and parts; one search (``_search``) grows the parts' hop balls from
+    closed-neighbourhood masks by rank: ``state`` and the exact cuts (``cut``) search ``near``; ``masked_parts`` a
+    subset's. ``states`` weighs by gamma the link set's gamma-free pass, ``balls[i][k]`` (the nodes within k <=
+    min(h_max, n - 1) hops of ``i``) and each node's other terms, and keeps it with the exact cuts and ``grown`` parts
+    until the next ``states``, or in a ``_sharing`` block per link set. Peer sums run in ascending id order, whatever
+    order the links were placed in.
     """
 
     def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
@@ -216,6 +234,9 @@ class _Evaluator:
         self.tolerance = self.n**2 * 2.0**-40  # a certificate's margin, relative to the state; the README says why
         self.ends: dict[int, Ends] = {i: [] for i in self.ids}
         self.links: dict[tuple[int, int], Link] = {}  # by (lower id, higher id); the ends keep the units
+        shared = _shared.get()
+        bound = shared is not None and shared.setdefault("binding", (self.pairings, self.cfg.alpha, self.h))
+        self.shared = shared if bound and bound[0] is self.pairings and bound[1:] == (self.cfg.alpha, self.h) else None
         for link in links:  # infeasible links are priced as infinite
             self.place(link)
 
@@ -226,7 +247,8 @@ class _Evaluator:
         a, b = pair = link.pair
         if pair in self.links:
             raise ValueError(f"node pair {pair} linked more than once")
-        option = _pairing(self.cfg, self.node(a), link.iface_a, self.node(b), link.iface_b)
+        options = (option for option in self.pairings.get(pair, ()) if option[:2] == (link.iface_a, link.iface_b))
+        option = next(options, None) or _pairing(self.cfg, self.node(a), link.iface_a, self.node(b), link.iface_b)
         self.links[pair] = link
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
@@ -286,11 +308,28 @@ class _Evaluator:
         return _state(self.cfg.gamma, _link_cost(self.cfg.alpha, _unit_sums(own)), *(parts or self.reach(i, own)))
 
     def states(self) -> dict[int, State]:
-        """Every node's state; rebuilds the balls, ``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``, and the
-        sums, ``G(i)`` by weighing the hop counts of ``_parts`` over ``B_2..B_h`` (a finite state's ``B_h`` is full)."""
-        alpha, gamma, ends = self.cfg.alpha, self.cfg.gamma, self.ends
+        """Every node's state: the link set's gamma-free pass (``_passes``, kept per link set in a ``_sharing`` block)
+        weighed by gamma, and for a finite state the certificates' sums, ``G(i)`` as ``gamma * far_ic + far_other``."""
+        shared, key = ({}, None) if self.shared is None else (self.shared, frozenset(self.links.values()))
+        if key not in shared:
+            shared[key] = self._passes()
+        self.balls, passes, self.cuts, self.joins = shared[key]
+        gamma, states, self.sums = self.cfg.gamma, {}, {}  # sums: the certificates' ``_Sums``, finite states only
+        for i, (units, inverse_degrees, link_cost, parts, far_ic, far_other, share) in passes.items():
+            state = states[i] = _state(gamma, link_cost, *parts)
+            if state[0] != math.inf:
+                margin = state[0] * self.tolerance
+                room = gamma * far_ic + far_other + parts[2] + margin
+                self.sums[i] = _Sums(margin, units, inverse_degrees, parts[2], share, room)
+        return states
+
+    def _passes(self) -> tuple[dict[int, list[int]], dict[int, tuple], dict, dict]:
+        """The balls, ``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``; per node its unit sums, inverse degrees,
+        link cost, parts, ``G(i)``'s hop counts from ``_parts`` over ``B_2..B_h`` (a finite state's ``B_h`` is full) and
+        ``1 / (degree + 1)``; and the empty records of the exact cuts (``cut``) and grown parts (``grown``)."""
+        alpha, ends = self.cfg.alpha, self.ends
         level, grown = self.bit, dict(zip(self.ids, self.near))  # B_0, and B_1 from the masks
-        self.balls: dict[int, list[int]] = {i: [ball] for i, ball in level.items()}
+        balls = {i: [ball] for i, ball in level.items()}
         for k in range(self.h):
             if k:
                 grown = {}
@@ -301,31 +340,34 @@ class _Evaluator:
                     grown[i] = ball
             if grown == level:  # no ball grew: every later level repeats this one
                 break
-            for i, row in self.balls.items():
+            for i, row in balls.items():
                 row.append(grown[i])
             level = grown
-        states: dict[int, State] = {}
-        self.sums: dict[int, _Sums] = {}  # finite states only
-        for i, row in self.balls.items():
+        passes = {}
+        for i, row in balls.items():
             row += [row[-1]] * (self.h + 1 - len(row))
             own = ends[i]
             units, inverse_degrees = _unit_sums(own), _inverse_degrees(own, ends)
-            parts = self._parts(row, len(own), inverse_degrees)
-            state = states[i] = _state(gamma, _link_cost(alpha, units), *parts)
-            if state[0] == math.inf:
-                continue
-            far_ic, far_other, _, _ = self._parts(row[2:] or row[-1:], 0, 0.0)  # G(i)'s hop counts over B_2..B_h
-            margin = state[0] * self.tolerance
-            room = gamma * far_ic + far_other + parts[2] + margin
-            self.sums[i] = _Sums(margin, units, inverse_degrees, parts[2], 1.0 / (len(own) + 1), room)
-        return states
+            parts, far = self._parts(row, len(own), inverse_degrees), self._parts(row[2:] or row[-1:], 0, 0.0)
+            passes[i] = units, inverse_degrees, _link_cost(alpha, units), parts, *far[:2], 1.0 / (len(own) + 1)
+        return balls, passes, {}, {}
 
     def grown(self, a: int, b: int) -> tuple[int, Parts]:
         """Where ``b`` goes among a's link ends, and a's parts from ``B_k(a) | B_{k-1}(b)`` once a-b is added."""
-        own, row = self.ends[a], self.balls[a]
-        at = bisect_left(own, (b,))
-        trial = [*own[:at], (b, 0, 0.0), *own[at:]]
-        return at, self._parts([row[0], *map(or_, row[1:], self.balls[b])], len(trial), _inverse_degrees(trial, self.ends, b))
+        if (a, b) not in self.joins:
+            own, row = self.ends[a], self.balls[a]
+            at = bisect_left(own, (b,))
+            trial = [*own[:at], (b, 0, 0.0), *own[at:]]
+            parts = self._parts([row[0], *map(or_, row[1:], self.balls[b])], len(trial), _inverse_degrees(trial, self.ends, b))
+            self.joins[a, b] = at, parts
+        return self.joins[a, b]
+
+    def cut(self, i: int, at: int) -> State:
+        """Node ``i``'s state once its link end ``at`` is cut, from its link cost and parts, kept with the link set."""
+        if (i, at) not in self.cuts:
+            kept = self.ends[i][:at] + self.ends[i][at + 1 :]
+            self.cuts[i, at] = (_link_cost(self.cfg.alpha, _unit_sums(kept)), *self.reach(i, kept))
+        return _state(self.cfg.gamma, *self.cuts[i, at])
 
     def cut_refuted(self, i: int, end: tuple[int, int, float]) -> bool:
         """The severance certificate: whether cutting ``i``'s link ``end`` provably leaves its finite state no lower.
@@ -461,7 +503,7 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
     exact BFS only when the severance certificate does not refute it; an
     ``(inf, 0)`` state, whose link cost is infinite, gets it always.
     """
-    state, ends, sums, refuted = evaluator.state, evaluator.ends, evaluator.sums, evaluator.cut_refuted
+    cut, ends, sums, refuted = evaluator.cut, evaluator.ends, evaluator.sums, evaluator.cut_refuted
     for i in node_order:
         before = base[i]
         if before[1]:
@@ -470,7 +512,7 @@ def _severances(evaluator: _Evaluator, base: dict[int, State], node_order: Itera
         for at, end in enumerate(own):
             if certified and refuted(i, end):
                 continue
-            after = state(i, own[:at] + own[at + 1 :])
+            after = cut(i, at)
             if after < before:
                 peer = end[0]
                 link = evaluator.links[(i, peer) if i < peer else (peer, i)]

@@ -70,6 +70,26 @@ def test_a_command_builds_one_pairing_table(monkeypatch, tmp_path):
     assert builds == checks == [570.0]
 
 
+def test_a_sweep_prices_each_link_set_once(monkeypatch, tmp_path):
+    # the rows share one sharing block: one record per link set the command reaches, holding its exact cuts and grown
+    # parts; the counts are deterministic work, whatever the host
+    blocks, sharing = [], game._sharing
+
+    @contextlib.contextmanager
+    def recorded():
+        with sharing():
+            blocks.append(game._shared.get())
+            yield
+
+    monkeypatch.setattr(game, "_sharing", recorded)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--scenario", FIXTURE_570, "--gamma", "600:620:10", "--seeds", "3", "--out", str(out)) == 0
+    [shared] = blocks
+    records = [record for key, record in shared.items() if key != "binding"]
+    assert (len(records), sum(len(cuts) for _, _, cuts, _ in records), sum(len(joins) for *_, joins in records)) == (101, 380, 269)
+    assert len(out.read_text().splitlines()) == 1 + 3 * 3 and game._shared.get() is None
+
+
 def test_run_gamma570_fixture(tmp_path):
     out = tmp_path / "run570"
     assert run_cli("run", "--scenario", FIXTURE_570, "--out", str(out)) == 0

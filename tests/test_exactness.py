@@ -11,6 +11,8 @@ equal the engine's grown and severed parts, and its addition certificates must
 agree with exact pricing at every pairing combination they decide. The scans'
 certificates must never refute a move that exact pricing finds improving. Parts
 hold no gamma: they must be the same at every gamma, which only ``_state`` applies.
+So rows that share their link sets' gamma-free passes (``game._sharing``) must
+trace exactly as rows that share nothing.
 """
 
 from __future__ import annotations
@@ -466,3 +468,64 @@ def test_huge_hop_cap_equals_n_minus_one():
             assert time.perf_counter() - start < 1.0
             results.append((topology, trace, reports))
         assert results[0] == results[1]
+
+
+# -- a sweep's shared passes ---------------------------------------------------------
+
+
+def trace_bits(topology, trace):
+    """A run's links and ``converged``, and per step its move's type and fields, topology hash and costs; floats by hex."""
+    hexed = lambda values: tuple(bits(value) if isinstance(value, float) else value for value in values)
+    steps = [
+        (type(step.move).__name__, hexed(vars(step.move).values()), step.topology_hash, hexed(itertools.chain(*step.costs)))
+        for step in trace.steps
+    ]
+    return sorted(topology.links), trace.converged, steps
+
+
+def at_gammas(scenario, gammas):
+    return [Scenario(scenario.nodes, dataclasses.replace(scenario.config, gamma=gamma)) for gamma in gammas]
+
+
+def sharing_grids():
+    """Rows as ``linkform sweep`` runs them, one grid per scenario: the 570 fixture at gamma 600-640, whose scan seed 2
+    cycles from 610 on, and multi-interface scenarios of the generators at three gammas each."""
+    grids = [at_gammas(FIXTURES[0], [600.0, 610.0, 620.0, 630.0, 640.0])]
+    for scenario in [multi_radio_scenario(), split_scenario(), free_scenario(0), free_scenario(11), fixture_sample_scenario(1)[0]]:
+        grids.append(at_gammas(scenario, [scenario.config.gamma * factor for factor in (1.0, 2.0, 4.0)]))
+    return grids
+
+
+def test_sharing_changes_no_float(monkeypatch):
+    # each grid's rows in one sharing block, as a sweep's are, then with none: every trace and topology bit for bit
+    passes, fresh = collections.Counter(), game._Evaluator._passes  # gamma-free passes run, in a block and outside
+    monkeypatch.setattr(game._Evaluator, "_passes", lambda self: passes.update([game._shared.get() is None]) or fresh(self))
+    for grid in sharing_grids():
+        passes.clear()
+        rows = lambda: [trace_bits(*best_response_dynamics(scenario, seed=seed, max_moves=60)) for scenario in grid for seed in (0, 1, 2)]
+        with game._sharing():
+            shared = rows()
+        assert shared == rows()
+        assert passes[False] < passes[True]  # the block's rows did share link sets
+    assert game._shared.get() is None
+
+
+def test_sharing_binds_to_the_table_alpha_and_hop_cap():
+    # a block shares only among evaluators over its first one's pairing table (by identity), alpha and h: a run at
+    # another alpha, h_max or path-loss exponent (which builds another table) must price its link sets afresh
+    scenario = FIXTURES[0]
+    configs = [scenario.config] + [
+        dataclasses.replace(scenario.config, **change) for change in ({"alpha": 2.0}, {"h_max": 2}, {"path_loss_exponent": 2.2})
+    ]
+    rows = lambda: [
+        trace_bits(*best_response_dynamics(Scenario(scenario.nodes, config), seed=seed, max_moves=40))
+        for config in configs
+        for seed in (0, 2)
+    ]
+    unshared = rows()
+    with game._sharing():
+        assert rows() == unshared
+    with pytest.raises(RuntimeError), game._sharing():  # a block left by an exception
+        assert game._shared.get() == {}
+        raise RuntimeError
+    assert game._shared.get() is None
