@@ -41,6 +41,8 @@ from .model import (
     Node,
     Scenario,
     Topology,
+    _canonical,
+    _fragment,
     bandwidth_ratio,
     distance_between,
     links_digest,
@@ -195,7 +197,7 @@ _shared: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_shared",
 @contextlib.contextmanager
 def _sharing() -> Iterator[None]:
     """For the block, evaluators over the first one's pairing table (by identity), alpha and h share each link set's
-    gamma-free passes, keyed by its ``Link`` set; the others, and every evaluator outside a block, share nothing."""
+    gamma-free passes, by its canonical form (``states``); the others, and evaluators outside a block, share nothing."""
     token = _shared.set({})
     try:
         yield
@@ -212,9 +214,9 @@ class _Evaluator:
     ``state`` prices a node from link ends and parts; one search (``_search``) grows the parts' hop balls from
     closed-neighbourhood masks by rank: ``state`` and the exact cuts (``cut``) search ``near``; ``masked_parts`` a
     subset's. ``states`` weighs by gamma the link set's gamma-free pass, ``balls[i][k]`` (the nodes within k <=
-    min(h_max, n - 1) hops of ``i``) and each node's other terms, and keeps it with the exact cuts and ``grown`` parts
-    until the next ``states``, or in a ``_sharing`` block per link set. Peer sums run in ascending id order, whatever
-    order the links were placed in.
+    min(h_max, n - 1) hops of ``i``) and each node's other terms, and keeps it with the exact cuts, ``grown`` parts and
+    ``grown_cost``s until the next ``states``, or in a ``_sharing`` block by the link set's canonical form, which the
+    dynamics keep running (``_moved``). Peer sums run in ascending id order, whatever order the links were placed in.
     """
 
     def __init__(self, scenario: Scenario, links: Iterable[Link] = ()):
@@ -307,13 +309,13 @@ class _Evaluator:
         own = self.ends[i] if own is None else own
         return _state(self.cfg.gamma, _link_cost(self.cfg.alpha, _unit_sums(own)), *(parts or self.reach(i, own)))
 
-    def states(self) -> dict[int, State]:
-        """Every node's state: the link set's gamma-free pass (``_passes``, kept per link set in a ``_sharing`` block)
+    def states(self, key: str | None = None) -> dict[int, State]:
+        """Every node's state: the gamma-free pass (``_passes``, in a ``_sharing`` block kept by ``key``, the canonical form)
         weighed by gamma, and for a finite state the certificates' sums, ``G(i)`` as ``gamma * far_ic + far_other``."""
-        shared, key = ({}, None) if self.shared is None else (self.shared, frozenset(self.links.values()))
+        shared = {} if key is None or self.shared is None else self.shared
         if key not in shared:
             shared[key] = self._passes()
-        self.balls, passes, self.cuts, self.joins = shared[key]
+        self.balls, passes, self.cuts, self.joins, self.costs = shared[key]
         gamma, states, self.sums = self.cfg.gamma, {}, {}  # sums: the certificates' ``_Sums``, finite states only
         for i, (units, inverse_degrees, link_cost, parts, far_ic, far_other, share) in passes.items():
             state = states[i] = _state(gamma, link_cost, *parts)
@@ -323,10 +325,10 @@ class _Evaluator:
                 self.sums[i] = _Sums(margin, units, inverse_degrees, parts[2], share, room)
         return states
 
-    def _passes(self) -> tuple[dict[int, list[int]], dict[int, tuple], dict, dict]:
+    def _passes(self) -> tuple[dict[int, list[int]], dict[int, tuple], dict, dict, dict]:
         """The balls, ``B_k(i) = B_{k-1}(i) | B_{k-1}(j)`` over neighbours ``j``; per node its unit sums, inverse degrees,
         link cost, parts, ``G(i)``'s hop counts from ``_parts`` over ``B_2..B_h`` (a finite state's ``B_h`` is full) and
-        ``1 / (degree + 1)``; and the empty records of the exact cuts (``cut``) and grown parts (``grown``)."""
+        ``1 / (degree + 1)``; and the empty records of the exact cuts (``cut``), ``grown`` parts and ``grown_cost``s."""
         alpha, ends = self.cfg.alpha, self.ends
         level, grown = self.bit, dict(zip(self.ids, self.near))  # B_0, and B_1 from the masks
         balls = {i: [ball] for i, ball in level.items()}
@@ -350,17 +352,23 @@ class _Evaluator:
             units, inverse_degrees = _unit_sums(own), _inverse_degrees(own, ends)
             parts, far = self._parts(row, len(own), inverse_degrees), self._parts(row[2:] or row[-1:], 0, 0.0)
             passes[i] = units, inverse_degrees, _link_cost(alpha, units), parts, *far[:2], 1.0 / (len(own) + 1)
-        return balls, passes, {}, {}
+        return balls, passes, {}, {}, {}
 
-    def grown(self, a: int, b: int) -> tuple[int, Parts]:
-        """Where ``b`` goes among a's link ends, and a's parts from ``B_k(a) | B_{k-1}(b)`` once a-b is added."""
+    def grown(self, a: int, b: int) -> Parts:
+        """a's parts from ``B_k(a) | B_{k-1}(b)`` once a-b is added, kept with the link set."""
         if (a, b) not in self.joins:
-            own, row = self.ends[a], self.balls[a]
-            at = bisect_left(own, (b,))
-            trial = [*own[:at], (b, 0, 0.0), *own[at:]]
+            row, trial = self.balls[a], sorted([*self.ends[a], (b, 0, 0.0)])  # b among a's link ends, in peer order
             parts = self._parts([row[0], *map(or_, row[1:], self.balls[b])], len(trial), _inverse_degrees(trial, self.ends, b))
-            self.joins[a, b] = at, parts
+            self.joins[a, b] = parts
         return self.joins[a, b]
+
+    def grown_cost(self, a: int, b: int, option: PairingOption, side: int) -> float:
+        """a's link cost once a-b is added with ``option`` (``side`` as in ``join_refuted``), kept with the link set."""
+        key = (a, b, option.r_a, option.r_b)
+        if key not in self.costs:
+            trial = sorted([*self.ends[a], (b, option[side], option[side + 2])])  # in peer order, as in ``grown``
+            self.costs[key] = _link_cost(self.cfg.alpha, _unit_sums(trial))
+        return self.costs[key]
 
     def cut(self, i: int, at: int) -> State:
         """Node ``i``'s state once its link end ``at`` is cut, from its link cost and parts, kept with the link set."""
@@ -529,23 +537,22 @@ def _additions(evaluator: _Evaluator, base: dict[int, State], pair_order: Iterab
     improves where ``a`` does. Otherwise only the link cost depends on the
     pairing, and ``b`` is priced only when ``a`` improves.
     """
-    links, ends, state, grown, refuted = evaluator.links, evaluator.ends, evaluator.state, evaluator.grown, evaluator.join_refuted
-    pairings = evaluator.pairings
+    links, grown, cost, refuted = evaluator.links, evaluator.grown, evaluator.grown_cost, evaluator.join_refuted
+    pairings, gamma = evaluator.pairings, evaluator.cfg.gamma
     for pair in pair_order:
         if pair in links:
             continue
         a, b = pair
         if refuted(b, a, pairings[pair], 1) or refuted(a, b, pairings[pair], 0):
             continue
-        before_a, before_b, ends_a, ends_b = base[a], base[b], ends[a], ends[b]
-        at_a, parts_a = grown(a, b)
-        improving, grown_b = [], None
+        before_a, before_b = base[a], base[b]
+        parts_a, parts_b, improving = grown(a, b), None, []
         for option in pairings[pair]:
-            after_a = state(a, [*ends_a[:at_a], (b, option.r_a, option.unit_a), *ends_a[at_a:]], parts_a)
+            after_a = _state(gamma, cost(a, b, option, 0), *parts_a)
             if not after_a < before_a:
                 continue
-            at_b, parts_b = grown_b = grown_b or grown(b, a)
-            after_b = state(b, [*ends_b[:at_b], (a, option.r_b, option.unit_b), *ends_b[at_b:]], parts_b)
+            parts_b = parts_b or grown(b, a)
+            after_b = _state(gamma, cost(b, a, option, 1), *parts_b)
             if after_b < before_b:
                 delta_b = _resolved_delta(before_b, after_b)
                 improving.append((_resolved_delta(before_a, after_a), option.r_a, option.r_b, delta_b))
@@ -668,8 +675,9 @@ def best_response_dynamics(
 
     steps: list[TraceStep] = []
     converged = False
-    base = evaluator.states()
-    reached = {links_digest(()): 0}  # topology hash -> moves made when last reached
+    form, key = [], _canonical(())  # the links' fragments in tuple order (``_moved``), and their canonical form
+    base = evaluator.states(key)
+    reached = {links_digest(key): 0}  # topology hash -> moves made when last reached
     while len(steps) < max_moves:
         deviations = itertools.chain(
             _severances(evaluator, base, node_order),
@@ -680,8 +688,9 @@ def best_response_dynamics(
             converged = True
             break
         evaluator.toggle(move.link)
-        base = evaluator.states()
-        digest = links_digest(evaluator.links.values())
+        key = _moved(form, move)
+        base = evaluator.states(key)
+        digest = links_digest(key)
         steps.append(TraceStep(move=move, topology_hash=digest, costs=tuple((i, state[0]) for i, state in base.items())))
         start, reached[digest] = reached.get(digest), len(steps)
         if start is not None:
@@ -696,6 +705,15 @@ def best_response_dynamics(
                 break
     topology = Topology(scenario.nodes, frozenset(evaluator.links.values()))
     return topology, DynamicsTrace(seed=seed, steps=tuple(steps), converged=converged)
+
+
+def _moved(form: list[tuple[tuple[int, int, int, int], str]], move: Move) -> str:
+    """Updates ``form``, a link set's ``model._fragment``s in tuple order, by ``move``; returns the set's canonical form."""
+    if isinstance(move, Add):
+        insort(form, _fragment(move.link))
+    else:
+        del form[bisect_left(form, (move.link.as_tuple(),))]
+    return _canonical(form)
 
 
 def replay_trace(scenario: Scenario, trace: DynamicsTrace) -> Topology:

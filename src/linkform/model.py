@@ -159,9 +159,19 @@ class Link:
         return (self.node_a, self.iface_a, self.node_b, self.iface_b)
 
 
-def links_digest(links: Iterable[Link]) -> str:
-    """Stable hex digest of a link set, independent of iteration order."""
-    canonical = json.dumps(sorted(link.as_tuple() for link in links))
+def _fragment(link: Link) -> tuple[tuple[int, int, int, int], str]:
+    """A link's place in its set's canonical form: its tuple, which orders it, and the tuple's JSON text."""
+    return link.as_tuple(), json.dumps(link.as_tuple())
+
+
+def _canonical(fragments: Iterable[tuple[tuple[int, int, int, int], str]]) -> str:
+    """A link set's canonical form, the JSON list of its tuples, from ``_fragment``s in tuple order."""
+    return "[" + ", ".join([text for _, text in fragments]) + "]"
+
+
+def links_digest(links: Iterable[Link] | str) -> str:
+    """Stable hex digest of a link set, independent of iteration order, or of its canonical form (``_canonical``)."""
+    canonical = links if isinstance(links, str) else _canonical(sorted(map(_fragment, links), key=lambda pair: pair[0]))
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
 
 

@@ -71,8 +71,8 @@ def test_a_command_builds_one_pairing_table(monkeypatch, tmp_path):
 
 
 def test_a_sweep_prices_each_link_set_once(monkeypatch, tmp_path):
-    # the rows share one sharing block: one record per link set the command reaches, holding its exact cuts and grown
-    # parts; the counts are deterministic work, whatever the host
+    # the rows share one sharing block: one record per link set the command reaches, holding its exact cuts, grown
+    # parts and grown link costs; the counts are deterministic work, whatever the host
     blocks, sharing = [], game._sharing
 
     @contextlib.contextmanager
@@ -86,7 +86,8 @@ def test_a_sweep_prices_each_link_set_once(monkeypatch, tmp_path):
     assert run_cli("sweep", "--scenario", FIXTURE_570, "--gamma", "600:620:10", "--seeds", "3", "--out", str(out)) == 0
     [shared] = blocks
     records = [record for key, record in shared.items() if key != "binding"]
-    assert (len(records), sum(len(cuts) for _, _, cuts, _ in records), sum(len(joins) for *_, joins in records)) == (101, 380, 269)
+    counts = [sum(len(record[at]) for record in records) for at in (2, 3, 4)]  # cuts, grown parts, grown link costs
+    assert [len(records), *counts] == [101, 380, 269, 430]
     assert len(out.read_text().splitlines()) == 1 + 3 * 3 and game._shared.get() is None
 
 

@@ -47,6 +47,7 @@ from linkform.game import (
 )
 from linkform.model import IncomparableCostError, Link, Scenario, Topology
 
+from conftest import make_iface, make_node
 from generators import (
     feasible_pairings,
     fixture_sample_scenario,
@@ -212,7 +213,7 @@ def test_parts_table_equals_grown_and_severed():
                         severed = empty.masked_parts(nears[subset ^ 1 << k], i)
                         assert evaluator.reach(i, own[:at] + own[at + 1 :]) == severed
                     else:
-                        assert evaluator.grown(i, j)[1] == empty.masked_parts(nears[subset | 1 << k], i)
+                        assert evaluator.grown(i, j) == empty.masked_parts(nears[subset | 1 << k], i)
             # skipped exactly when an absent feasible pair joins two components
             label = components(scenario.ids, linked)
             assert closed[subset] == all(label[a] == label[b] for a, b in pair_order)
@@ -244,7 +245,7 @@ def test_parts_are_the_same_at_every_gamma():
                 masked[i] = evaluator.masked_parts(near, i)
                 for j in evaluator.ids:
                     if not near[evaluator.rank[i]] & evaluator.bit[j]:  # absent pairs only
-                        grown[i, j] = evaluator.grown(i, j)[1]
+                        grown[i, j] = evaluator.grown(i, j)
                 for at in range(len(own)):  # each cut
                     reach[i, at] = evaluator.reach(i, own[:at] + own[at + 1 :])
             seen.append((reached, evaluator.balls, masked, grown, reach))
@@ -340,8 +341,8 @@ def test_scan_certificates_never_refute_an_improving_move():
                 continue
             for side, (x, y) in enumerate((pair, pair[::-1])):
                 if evaluator.join_refuted(x, y, options, side):
-                    at, parts = evaluator.grown(x, y)
-                    own = evaluator.ends[x]
+                    parts, own = evaluator.grown(x, y), evaluator.ends[x]
+                    at = bisect_left(own, (y,))
                     trials = ([*own[:at], (y, option[side], option[side + 2]), *own[at:]] for option in options)
                     refuted[family, "join"] += 1
                     unsound[family, "join"] += any(evaluator.state(x, trial, parts) < base[x] for trial in trials)
@@ -414,7 +415,7 @@ def test_bridging_terms_equal_the_reference_in_peer_order():
             for j in scenario.ids:
                 if j == node.id or topology.has_pair(node.id, j):
                     continue
-                grown = evaluator.grown(node.id, j)[1]
+                grown = evaluator.grown(node.id, j)
                 if not grown[3]:
                     assert bits(grown[2]) == bits(bridging_coefficient(node, topology.with_link(Link(node.id, 0, j, 0))))
     assert reordered
@@ -529,3 +530,28 @@ def test_sharing_binds_to_the_table_alpha_and_hop_cap():
         assert game._shared.get() == {}
         raise RuntimeError
     assert game._shared.get() is None
+
+
+def test_grown_link_costs_are_kept_per_end_and_pairing():
+    # two radios of one kind and frequency, one with a higher antenna gain: a pair's pairings that share one end's
+    # interface differ in that end's unit, so a grown link cost read back by any shorter key than the end and the
+    # whole pairing would be another pairing's
+    radios = (make_iface("mesh", 1.0e9, 1.0e6, 1.0, 1e-9), make_iface("mesh", 1.0e9, 1.0e6, 1.0, 1e-9, gain=4.0))
+    nodes = tuple(make_node(i, (12.0 * i, 7.0 * (i % 2)), radios, ic=i == 0) for i in range(5))
+    scenario = Scenario(nodes, model.GameConfig(gamma=10.0))
+    rng, alpha, checked = random.Random(5), scenario.config.alpha, 0
+    for _ in range(6):
+        evaluator = game._Evaluator(scenario, random_topology(scenario, rng).links)
+        evaluator.states()
+        for (a, b), options in evaluator.pairings.items():
+            if (a, b) in evaluator.links:
+                continue
+            for x, y, side in ((a, b, 0), (b, a, 1)):
+                own = evaluator.ends[x]
+                at = bisect_left(own, (y,))
+                for option in options:
+                    trial = [*own[:at], (y, option[side], option[side + 2]), *own[at:]]
+                    assert evaluator.grown_cost(x, y, option, side) == game._link_cost(alpha, game._unit_sums(trial))
+                    checked += 1
+    units = {(option.r_a, option.unit_a) for option in evaluator.pairings[0, 1]}
+    assert len(units) > len({r_a for r_a, _ in units}) and checked > 100  # one interface, two units: the keys matter

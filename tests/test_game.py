@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkform import game
 from linkform.cli import fixture_path, load_scenario, trace_to_jsonl
@@ -29,6 +31,7 @@ from linkform.model import (
     Link,
     Scenario,
     Topology,
+    links_digest,
     validate_scenario,
 )
 
@@ -704,6 +707,41 @@ def test_a_digest_collision_does_not_fake_a_cycle(monkeypatch):
     expected = [outcome(*run) for run in runs]
     monkeypatch.setattr(game, "links_digest", lambda links: "0" * 16)
     assert [outcome(*run) for run in runs] == expected
+
+
+def assert_running_form(nodes, toggles):
+    """Toggles each link through ``game._moved`` as the dynamics move (a linked pair's stored link is removed, else the
+    link is added); after every step the running form is the current link set's canonical form and digest."""
+    form, links = [], {}
+    for link in toggles:
+        stored = links.pop(link.pair, None)
+        if stored is None:
+            links[link.pair] = link
+        move = Add(link, -1.0, -1.0) if stored is None else Remove(stored, stored.node_a, -1.0)
+        canonical, current = game._moved(form, move), frozenset(links.values())
+        assert canonical == json.dumps(sorted(link.as_tuple() for link in current))
+        assert links_digest(canonical) == links_digest(current) == Topology(nodes, current).canonical_hash()
+
+
+RUNNING_FORM_SCENARIOS = [
+    Scenario(pinned_order_nodes(), GameConfig(gamma=10.0)), split_scenario(), free_scenario(3), free_scenario(7)
+]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_the_running_form_is_the_canonical_form(data):
+    # random adds and removes over multi-interface scenarios' feasible pairings
+    scenario = data.draw(st.sampled_from(RUNNING_FORM_SCENARIOS))
+    links = [Link(a, r_a, b, r_b) for (a, b), options in feasible_pairings(scenario).items() for r_a, r_b in options]
+    assert_running_form(scenario.nodes, data.draw(st.lists(st.sampled_from(links), max_size=40)))
+
+
+def test_the_running_form_keeps_tuple_order():
+    # (0, 1, 1, 0) sorts after (0, 0, 4, 0) and (0, 0, 2, 1), though pair (0, 1) sorts first; the set empties twice
+    nodes = pinned_order_nodes()
+    toggles = [Link(0, 1, 1, 0), Link(0, 0, 4, 0), Link(0, 0, 2, 0), Link(0, 1, 1, 0), Link(0, 0, 4, 0), Link(0, 0, 2, 0)]
+    assert_running_form(nodes, toggles + [Link(0, 0, 1, 1), Link(1, 1, 4, 1), Link(0, 0, 1, 1), Link(1, 1, 4, 1)])
 
 
 def test_invalid_scenario_rejected():

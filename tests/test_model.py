@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -163,6 +164,16 @@ def test_links_digest_order_independent():
     a, b = Link(0, 0, 1, 0), Link(1, 0, 2, 0)
     assert links_digest([a, b]) == links_digest([b, a])
     assert links_digest([a]) != links_digest([a, b])
+
+
+def test_links_digest_hashes_the_json_of_the_sorted_tuples():
+    # tuple order, not pair order: with the same node_a, iface_a sorts before node_b
+    expect = lambda canonical: hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
+    assert links_digest(()) == links_digest("[]") == expect("[]")
+    assert links_digest([Link(0, 1, 1, 0), Link(0, 0, 4, 0)]) == expect("[[0, 0, 4, 0], [0, 1, 1, 0]]")
+    # True == 1, yet no link lends its JSON text to an equal one
+    assert links_digest([Link(True, 0, 2, 0)]) == expect("[[true, 0, 2, 0]]")
+    assert links_digest([Link(1, 0, 2, 0)]) == expect("[[1, 0, 2, 0]]")
 
 
 # -- validation -------------------------------------------------------------------
