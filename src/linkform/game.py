@@ -29,10 +29,11 @@ import functools
 import itertools
 import math
 import random
+import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import is_, or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import (
     Cost,
@@ -304,10 +305,10 @@ class _Evaluator:
         bridging = (1.0 / links) / inverse_degrees if links else 0.0
         return levels * self.n_ic - ic_seen, levels * (self.n - self.n_ic) - (seen - ic_seen), bridging, 0
 
-    def state(self, i: int, own: Ends | None = None, parts: Parts | None = None) -> State:
-        """Node ``i``'s state with link ends ``own`` (default its own) and ``parts`` (default by ``reach`` over ``own``)."""
-        own = self.ends[i] if own is None else own
-        return _state(self.cfg.gamma, _link_cost(self.cfg.alpha, _unit_sums(own)), *(parts or self.reach(i, own)))
+    def state(self, i: int) -> State:
+        """Node ``i``'s state from its link ends and its parts by ``reach`` over them."""
+        own = self.ends[i]
+        return _state(self.cfg.gamma, _link_cost(self.cfg.alpha, _unit_sums(own)), *self.reach(i, own))
 
     def states(self, key: str | None = None) -> dict[int, State]:
         """Every node's state: the gamma-free pass (``_passes``, in a ``_sharing`` block kept by ``key``, the canonical form)
@@ -561,11 +562,30 @@ def _additions(evaluator: _Evaluator, base: dict[int, State], pair_order: Iterab
             yield Add(link=Link(a, r_a, b, r_b), delta_a=delta_a, delta_b=delta_b)
 
 
-def _toggle_states(evaluator: _Evaluator, link: Link, ids: tuple[int, ...]) -> list[tuple[State, State]]:
-    """(before, after) state of each of ``ids`` when ``evaluator`` severs ``link`` if present, else adds it."""
-    before = [evaluator.state(i) for i in ids]
+_queried = threading.local()  # ``_query``'s slot, one per thread, since a query toggles its evaluator's links
+
+
+def _query(topology: Topology, config: GameConfig) -> tuple[_Evaluator, Callable[[int], State]]:
+    """An evaluator over ``topology``'s links and its nodes' states there, each priced once by ``state``. Remembers the
+    last in the thread's slot, by the identity of ``topology`` and ``config`` as ``_pairings`` does; a build that raises
+    leaves the slot as it was."""
+    held, cfg, evaluator, base = getattr(_queried, "slot", (None, None, None, None))
+    if held is not topology or cfg is not config:
+        evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
+        base = functools.cache(evaluator.state)
+        _queried.slot = (topology, config, evaluator, base)
+    return evaluator, base
+
+
+def _toggle_states(evaluator: _Evaluator, base: Callable[[int], State], link: Link, ids: tuple[int, ...]) -> list:
+    """(before, after) state of each of ``ids``, before by ``base``, when ``evaluator`` severs ``link`` if present, else
+    adds it; ``link`` is toggled back, also when pricing raises, so the evaluator keeps the link set it was built with."""
+    before = [base(i) for i in ids]
     evaluator.toggle(link)
-    return list(zip(before, [evaluator.state(i) for i in ids]))
+    try:
+        return list(zip(before, [evaluator.state(i) for i in ids]))
+    finally:
+        evaluator.toggle(link)
 
 
 def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfig) -> float:
@@ -575,7 +595,7 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
     when the scenario is invalid, a topology link cannot be placed, the node is
     not in the topology or the link is already present or physically infeasible.
     """
-    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
+    query = _query(topology, config)
     topology.node(node.id)
     if topology.has_pair(link.node_a, link.node_b):
         raise ValueError(f"{link} already present")
@@ -583,18 +603,18 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
         topology.node(link.node_a), link.iface_a, topology.node(link.node_b), link.iface_b, config
     ):
         raise ValueError(f"{link} is not physically feasible")
-    [(before, after)] = _toggle_states(evaluator, link, (node.id,))
+    [(before, after)] = _toggle_states(*query, link, (node.id,))
     return Cost(after[0]).minus(Cost(before[0]))
 
 
 def delta_cost_remove(node: Node, topology: Topology, link: Link, config: GameConfig) -> float:
     """Cost change for ``node`` if it severed ``link``; raises when undefined."""
-    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
+    query = _query(topology, config)
     if link not in topology.links:
         raise ValueError(f"{link} not present")
     if not link.touches(node.id):
         raise ValueError(f"node {node.id} is not an endpoint of {link}")
-    [(before, after)] = _toggle_states(evaluator, link, (node.id,))
+    [(before, after)] = _toggle_states(*query, link, (node.id,))
     return Cost(after[0]).minus(Cost(before[0]))
 
 
@@ -608,13 +628,13 @@ def propose_add(
     (i, j). Raises ValueError when the scenario is invalid or a topology link
     cannot be placed, whatever the link.
     """
-    evaluator = _Evaluator(Scenario(topology.nodes, config), topology.links)
+    query = _query(topology, config)
     node_i = topology.node(i)
     node_j = topology.node(j)
     if i == j or topology.has_pair(i, j) or not link_feasible(node_i, r_i, node_j, r_j, config):
         return Rejection(kind="infeasible")
     link = Link(i, r_i, j, r_j)
-    states = _toggle_states(evaluator, link, link.pair)
+    states = _toggle_states(*query, link, link.pair)
     decliners = tuple(node_id for node_id, (before, after) in zip(link.pair, states) if not after < before)
     if decliners:
         return Rejection(kind="declined", declined_by=decliners)

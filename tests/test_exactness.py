@@ -324,18 +324,21 @@ def scan_certificate_cases():
 
 def test_scan_certificates_never_refute_an_improving_move():
     # the dynamics' O(1) certificates only reject: a cut that ``cut_refuted`` refutes leaves its node no lower when
-    # priced exactly by ``state``, and no option of a pair end that ``join_refuted`` refutes improves it when priced
-    # from ``grown`` parts
+    # priced exactly from ``reach`` parts, and no option of a pair end that ``join_refuted`` refutes improves it when
+    # priced from ``grown`` parts
     refuted, unsound = collections.Counter(), collections.Counter()
     for family, scenario, links in scan_certificate_cases():
         evaluator = game._Evaluator(scenario, links)
         base = evaluator.states()
+        gamma, alpha = scenario.config.gamma, scenario.config.alpha
+        price = lambda own, parts: game._state(gamma, game._link_cost(alpha, game._unit_sums(own)), *parts)
         for i in evaluator.sums:
             own = evaluator.ends[i]
             for at, end in enumerate(own):
                 if evaluator.cut_refuted(i, end):
+                    kept = own[:at] + own[at + 1 :]
                     refuted[family, "cut"] += 1
-                    unsound[family, "cut"] += evaluator.state(i, own[:at] + own[at + 1 :]) < base[i]
+                    unsound[family, "cut"] += price(kept, evaluator.reach(i, kept)) < base[i]
         for pair, options in game.pairing_table(scenario).items():
             if pair in evaluator.links:
                 continue
@@ -345,7 +348,7 @@ def test_scan_certificates_never_refute_an_improving_move():
                     at = bisect_left(own, (y,))
                     trials = ([*own[:at], (y, option[side], option[side + 2]), *own[at:]] for option in options)
                     refuted[family, "join"] += 1
-                    unsound[family, "join"] += any(evaluator.state(x, trial, parts) < base[x] for trial in trials)
+                    unsound[family, "join"] += any(price(trial, parts) < base[x] for trial in trials)
     assert not any(unsound.values()), (unsound, refuted)
     assert all(refuted[family, kind] > 100 for family in ("random", "dynamics") for kind in ("cut", "join")), refuted
 

@@ -1,9 +1,13 @@
+import collections
+import contextvars
 import dataclasses
 import itertools
 import json
 import math
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +51,7 @@ from generators import (
     overflowing_unit_scenario,
     pinned_order_nodes,
     random_graph_scenario,
+    random_topology,
     split_scenario,
     uplink_suite_scenario,
 )
@@ -526,6 +531,156 @@ def test_single_queries_read_the_topology_first():
             for query in queries:
                 with pytest.raises(ValueError, match=re.escape(expected)):
                     query()
+
+
+def single_queries(topology, config):
+    """Every single query on ``topology``, as calls: each interface pairing of each node pair proposed, and added for
+    both ends and a bystander (priced, or raising for a linked pair or an infeasible pairing); each link severed by
+    both ends and a bystander (who raises); a node outside the topology and a link that is not there."""
+    node, ids = topology.node, topology.ids
+    calls = []
+    for a, b in itertools.combinations(ids, 2):
+        bystander = next(i for i in ids if i not in (a, b))
+        for r_a, r_b in itertools.product(range(len(node(a).interfaces)), range(len(node(b).interfaces))):
+            link = Link(a, r_a, b, r_b)
+            calls.append(lambda a=a, r_a=r_a, b=b, r_b=r_b: propose_add(topology, b, r_b, a, r_a, config))
+            calls += [lambda i=i, link=link: delta_cost_add(node(i), topology, link, config) for i in (a, b, bystander)]
+    for link in sorted(topology.links):
+        severing = (*link.pair, next(i for i in ids if not link.touches(i)))  # both ends, then a bystander
+        calls += [lambda i=i, link=link: delta_cost_remove(node(i), topology, link, config) for i in severing]
+    stranger, absent = dataclasses.replace(topology.nodes[0], id=max(ids) + 1), Link(ids[0], 9, ids[1], 9)
+    calls.append(lambda: delta_cost_add(stranger, topology, absent, config))
+    calls.append(lambda: delta_cost_remove(node(ids[0]), topology, absent, config))
+    return calls
+
+
+def answer(call):
+    """A query's outcome, its kind first, every float as ``float.hex``: an Add, a Rejection, a delta or an error."""
+    try:
+        result = call()
+    except (ValueError, IncomparableCostError) as error:
+        return "raised", type(error), str(error)
+    if isinstance(result, Add):
+        return "added", result.link, result.delta_a.hex(), result.delta_b.hex()
+    return ("delta", result.hex()) if isinstance(result, float) else ("rejected", result)
+
+
+def fresh_answer(call):
+    """``call``'s answer from an evaluator built for it alone, as every query once had; the thread's slot is kept."""
+    slot, game._queried.slot = getattr(game._queried, "slot", (None, None, None, None)), (None, None, None, None)
+    try:
+        return answer(call)
+    finally:
+        game._queried.slot = slot
+
+
+def assert_query_slot_holds_a_fresh_build(topology, config):
+    held, cfg, evaluator, _ = game._queried.slot
+    assert held is topology and cfg is config
+    fresh = game._Evaluator(Scenario(topology.nodes, config), topology.links)
+    assert (evaluator.links, evaluator.ends, evaluator.near) == (fresh.links, fresh.ends, fresh.near)
+
+
+def test_interleaved_single_queries_are_exact(monkeypatch):
+    # each query runs twice: with an evaluator of its own, and from the slot, which keeps one evaluator across the
+    # queries on the same topology and config objects
+    scenario, _ = fixture_sample_scenario(2)
+    rng = random.Random(2)
+    first, second = random_topology(scenario, rng), random_topology(scenario, rng)
+    copy = Topology(first.nodes, set(first.links))
+    assert copy == first and copy is not first and first != second
+    configs = (scenario.config, dataclasses.replace(scenario.config, gamma=2.0 * scenario.config.gamma))
+    runs = [[(topology, config, call) for call in single_queries(topology, config)]
+            for topology, config in itertools.product((first, second, copy), configs)]
+    queries = []
+    while any(runs):  # runs of 1 to 8 queries on one topology and config, then another
+        run = rng.choice([run for run in runs if run])
+        queries += [run.pop() for _ in range(min(len(run), rng.randint(1, 8)))]
+    outcomes = collections.Counter()
+    for topology, config, call in queries:
+        expected = fresh_answer(call)
+        assert answer(call) == expected
+        assert_query_slot_holds_a_fresh_build(topology, config)
+        outcomes[expected[:2] if expected[0] == "raised" else expected[0]] += 1
+    assert min(outcomes.values()) >= 10 and len(outcomes) == 5, outcomes
+    # a query whose pricing raises after its toggle leaves the link set as it was built
+    link = min(first.links)
+    delta_cost_remove(first.node(link.node_a), first, link, configs[0])
+    monkeypatch.setattr(game._Evaluator, "reach", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        delta_cost_remove(first.node(link.node_a), first, link, configs[0])
+    monkeypatch.undo()
+    assert_query_slot_holds_a_fresh_build(first, configs[0])
+
+
+def test_single_queries_build_one_evaluator_per_topology_and_config_object(monkeypatch):
+    builds, init = [], game._Evaluator.__init__
+    monkeypatch.setattr(game._Evaluator, "__init__", lambda self, *args: builds.append(args) or init(self, *args))
+    scenario, _ = fixture_sample_scenario(2)
+    rng = random.Random(2)
+    first, second = random_topology(scenario, rng), random_topology(scenario, rng)
+    config = scenario.config
+    for call in single_queries(first, config):
+        answer(call)
+    assert len(builds) == 1
+    for topology in (second, first, second, first):
+        link = min(topology.links)
+        answer(lambda: delta_cost_remove(topology.node(link.node_a), topology, link, config))
+        propose_add(topology, 0, 0, 1, 0, config)
+    assert len(builds) == 5
+    copied = dataclasses.replace(config)  # equal, but another object
+    for cfg in (copied, copied, config):
+        propose_add(first, 0, 0, 1, 0, cfg)
+    assert len(builds) == 7
+    invalid = dataclasses.replace(config, gamma=0.5)
+    for _ in range(2):  # a build that raises leaves the slot as it was
+        with pytest.raises(ValueError, match="config.gamma"):
+            propose_add(first, 0, 0, 1, 0, invalid)
+    propose_add(first, 0, 0, 1, 0, config)
+    assert len(builds) == 9
+
+
+def test_the_query_slot_is_per_thread():
+    # four threads price queries on one shared topology object, each in its own order, and in the second half one on a
+    # topology of its own after every eighth. Each starts in a copy of this thread's context, whose last query was on
+    # the shared topology, as ``asyncio.to_thread`` starts one: a slot shared between threads, or one kept in a context
+    # variable, would let two of them toggle links on the shared topology's one evaluator at once
+    scenario, _ = fixture_sample_scenario(2)
+    rng = random.Random(2)
+    shared, config = random_topology(scenario, rng), scenario.config
+
+    def priced(topology):  # the queries that toggle a link and return a delta or an Add
+        return [call for call in single_queries(topology, config) if answer(call)[0] in ("delta", "added")]
+
+    work = []
+    for _ in range(4):
+        calls, own, queries = priced(shared) * 25, priced(random_topology(scenario, rng)), []
+        rng.shuffle(calls)
+        for k, call in enumerate(calls):
+            queries += [call, own[k % len(own)]] if 2 * k > len(calls) and k % 8 == 0 else [call]
+        work.append(queries)
+    serial = [[answer(call) for call in queries] for queries in work]
+    answers, barrier = [None] * len(work), threading.Barrier(len(work))
+
+    def run(thread):
+        barrier.wait()
+        try:
+            answers[thread] = [answer(call) for call in work[thread]]
+        except Exception as error:  # a query that raises what no query should
+            answers[thread] = error
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        answer(work[0][0])
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, k)) for k in range(len(work))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == serial
 
 
 # -- dynamics ----------------------------------------------------------------------
