@@ -22,7 +22,6 @@ the lowest interfaces.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import functools
@@ -49,7 +48,7 @@ from .model import (
     links_digest,
     validate_scenario,
 )
-from .propagation import link_feasible, required_tx_power
+from .propagation import link_feasible, required_tx_power  # noqa: F401 (perfbench/workloads.py rebinds game.link_feasible)
 
 DEFAULT_MAX_MOVES = 10_000
 
@@ -153,8 +152,8 @@ def _pairing(config: GameConfig, a: Node, r_a: int, b: Node, r_b: int) -> Pairin
 def pairing_table(scenario: Scenario) -> PairingTable:
     """Feasible interface pairings of every node pair, keyed by (lower id, higher id).
 
-    Feasible means ``link_feasible`` holds; a unit cost may still be inf.
-    Options are ordered by (r_a, r_b); pairs with no feasible pairing are absent.
+    Feasible means ``link_feasible`` holds, so the single queries read feasibility here (``_Evaluator.option``).
+    A unit cost may still be inf. Options are ordered by (r_a, r_b); pairs with no feasible pairing are absent.
     The scenario must be valid (``_pairings`` checks it, for ``_Evaluator`` and ``criteria_report``).
     """
     table: PairingTable = {}
@@ -210,8 +209,8 @@ class _Evaluator:
     """Incremental cost evaluation for one scenario across candidate link sets.
 
     Building one checks the scenario and keeps its pairing table as ``pairings`` (``_pairings``); ``place`` prices a
-    link by its option there, or by ``_pairing`` where the table lacks it. Answers state queries as (total cost, peers
-    unreachable within the hop cap) against a small mutable link set: ``links``, each node's ``ends`` and ``near``.
+    link by its ``option`` there, or by ``_pairing`` where the table lacks it. Answers state queries as (total cost,
+    peers unreachable within the hop cap) against a small mutable link set: ``links``, each node's ``ends`` and ``near``.
     ``state`` prices a node from link ends and parts; one search (``_search``) grows the parts' hop balls from
     closed-neighbourhood masks by rank: ``state`` and the exact cuts (``cut``) search ``near``; ``masked_parts`` a
     subset's. ``states`` weighs by gamma the link set's gamma-free pass, ``balls[i][k]`` (the nodes within k <=
@@ -250,13 +249,19 @@ class _Evaluator:
         a, b = pair = link.pair
         if pair in self.links:
             raise ValueError(f"node pair {pair} linked more than once")
-        options = (option for option in self.pairings.get(pair, ()) if option[:2] == (link.iface_a, link.iface_b))
-        option = next(options, None) or _pairing(self.cfg, self.node(a), link.iface_a, self.node(b), link.iface_b)
+        option = self.option(link) or _pairing(self.cfg, self.node(a), link.iface_a, self.node(b), link.iface_b)
         self.links[pair] = link
         insort(self.ends[a], (b, option.r_a, option.unit_a))
         insort(self.ends[b], (a, option.r_b, option.unit_b))
         self.near[self.rank[a]] ^= self.bit[b]
         self.near[self.rank[b]] ^= self.bit[a]
+
+    def option(self, link: Link) -> PairingOption | None:
+        """``link``'s pairing in the table, or None if infeasible; raises ValueError for an unknown node or interface."""
+        self.node(link.node_a).interface(link.iface_a)
+        self.node(link.node_b).interface(link.iface_b)
+        pairing = link.iface_a, link.iface_b
+        return next((option for option in self.pairings.get(link.pair, ()) if option[:2] == pairing), None)
 
     def remove(self, pair: tuple[int, int]) -> None:
         a, b = pair
@@ -595,15 +600,13 @@ def delta_cost_add(node: Node, topology: Topology, link: Link, config: GameConfi
     when the scenario is invalid, a topology link cannot be placed, the node is
     not in the topology or the link is already present or physically infeasible.
     """
-    query = _query(topology, config)
+    evaluator, base = _query(topology, config)
     topology.node(node.id)
     if topology.has_pair(link.node_a, link.node_b):
         raise ValueError(f"{link} already present")
-    if not link_feasible(
-        topology.node(link.node_a), link.iface_a, topology.node(link.node_b), link.iface_b, config
-    ):
+    if evaluator.option(link) is None:
         raise ValueError(f"{link} is not physically feasible")
-    [(before, after)] = _toggle_states(*query, link, (node.id,))
+    [(before, after)] = _toggle_states(evaluator, base, link, (node.id,))
     return Cost(after[0]).minus(Cost(before[0]))
 
 
@@ -628,13 +631,12 @@ def propose_add(
     (i, j). Raises ValueError when the scenario is invalid or a topology link
     cannot be placed, whatever the link.
     """
-    query = _query(topology, config)
-    node_i = topology.node(i)
-    node_j = topology.node(j)
-    if i == j or topology.has_pair(i, j) or not link_feasible(node_i, r_i, node_j, r_j, config):
+    evaluator, base = _query(topology, config)
+    topology.node(i)
+    topology.node(j)
+    if i == j or topology.has_pair(i, j) or evaluator.option(link := Link(i, r_i, j, r_j)) is None:
         return Rejection(kind="infeasible")
-    link = Link(i, r_i, j, r_j)
-    states = _toggle_states(*query, link, link.pair)
+    states = _toggle_states(evaluator, base, link, link.pair)
     decliners = tuple(node_id for node_id, (before, after) in zip(link.pair, states) if not after < before)
     if decliners:
         return Rejection(kind="declined", declined_by=decliners)
@@ -681,8 +683,8 @@ def best_response_dynamics(
     The next move, its deltas and the costs depend only on the link set and
     the scan order, so a run that reaches an earlier link set again repeats
     the moves since then forever. It is completed to ``max_moves`` by
-    repeating those steps, byte for byte what scanning them would give. A
-    repeated topology hash is confirmed link by link before it counts.
+    repeating those steps, byte for byte what scanning them would give. The
+    repeat is found by the link set's exact canonical form, not its hash.
     Raises ValueError when the scenario is invalid (``_Evaluator``).
     """
     evaluator = _Evaluator(scenario)
@@ -697,7 +699,7 @@ def best_response_dynamics(
     converged = False
     form, key = [], _canonical(())  # the links' fragments in tuple order (``_moved``), and their canonical form
     base = evaluator.states(key)
-    reached = {links_digest(key): 0}  # topology hash -> moves made when last reached
+    reached = {key: 0}  # canonical form -> moves made when reached
     while len(steps) < max_moves:
         deviations = itertools.chain(
             _severances(evaluator, base, node_order),
@@ -712,17 +714,13 @@ def best_response_dynamics(
         base = evaluator.states(key)
         digest = links_digest(key)
         steps.append(TraceStep(move=move, topology_hash=digest, costs=tuple((i, state[0]) for i, state in base.items())))
-        start, reached[digest] = reached.get(digest), len(steps)
+        start, reached[key] = reached.get(key), len(steps)
         if start is not None:
-            net: collections.Counter[Link] = collections.Counter()
-            for step in steps[start:]:
-                net[step.move.link] += 1 if isinstance(step.move, Add) else -1
-            if not any(net.values()):  # the same link set, not only the same 64-bit digest
-                cycle, left = steps[start:], max_moves - len(steps)
-                steps += itertools.islice(itertools.cycle(cycle), left)
-                for step in cycle[: left % len(cycle)]:
-                    evaluator.toggle(step.move.link)
-                break
+            cycle, left = steps[start:], max_moves - len(steps)
+            steps += itertools.islice(itertools.cycle(cycle), left)
+            for step in cycle[: left % len(cycle)]:
+                evaluator.toggle(step.move.link)
+            break
     topology = Topology(scenario.nodes, frozenset(evaluator.links.values()))
     return topology, DynamicsTrace(seed=seed, steps=tuple(steps), converged=converged)
 

@@ -12,7 +12,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkform import game
+from linkform import game, propagation
 from linkform.cli import fixture_path, load_scenario, trace_to_jsonl
 from linkform.cost import total_cost
 from linkform.criteria import criteria_report
@@ -344,7 +344,7 @@ def test_stability_rejects_a_hop_cap_below_1(h_max):
         criteria_report(Scenario(nodes, config))
 
 
-@pytest.mark.parametrize("iface", [-1, 1])  # every node of the trio has one interface
+@pytest.mark.parametrize("iface", [-1, 1, 9])  # every node of the trio has one interface
 def test_an_interface_index_out_of_range_is_a_value_error(iface):
     scenario = ic_trio()
     topology = Topology(scenario.nodes, frozenset({Link(0, iface, 1, 0)}))
@@ -353,6 +353,14 @@ def test_an_interface_index_out_of_range_is_a_value_error(iface):
         total_cost(scenario.nodes[0], topology, scenario.config)
     with pytest.raises(ValueError, match=message):
         is_pairwise_stable(topology, scenario.config)
+    # a query's own link: the pairing table has no option for it, yet the query must raise, not call it infeasible
+    empty = Topology.empty(scenario.nodes)
+    for end, link in ((0, Link(0, iface, 1, 0)), (1, Link(0, 0, 1, iface))):
+        message = f"^node {end} has no interface {iface}$"
+        with pytest.raises(ValueError, match=message):
+            delta_cost_add(scenario.nodes[2], empty, link, scenario.config)
+        with pytest.raises(ValueError, match=message):
+            propose_add(empty, *link.as_tuple(), scenario.config)
 
 
 def malformed_queries(topology, config):
@@ -638,6 +646,22 @@ def test_single_queries_build_one_evaluator_per_topology_and_config_object(monke
             propose_add(first, 0, 0, 1, 0, invalid)
     propose_add(first, 0, 0, 1, 0, config)
     assert len(builds) == 9
+
+
+def test_a_query_makes_no_tx_power_calls(monkeypatch):
+    # once a query's evaluator is built, feasibility and each placed link's price come from its pairing table
+    scenario, _ = fixture_sample_scenario(2)
+    topology, config = random_topology(scenario, random.Random(2)), scenario.config
+    calls = single_queries(topology, config)
+    answer(calls[0])
+    powers, power = [], propagation.required_tx_power
+    for module in (game, propagation):
+        monkeypatch.setattr(module, "required_tx_power", lambda *args: powers.append(args) or power(*args))
+    answers = [answer(call) for call in calls]
+    assert powers == []
+    assert ("rejected", Rejection(kind="infeasible")) in answers
+    assert any(kind == "raised" and message.endswith("is not physically feasible") for kind, *_, message in answers)
+    assert {"added", "delta"} <= {kind for kind, *_ in answers}
 
 
 def test_the_query_slot_is_per_thread():
