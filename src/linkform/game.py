@@ -502,6 +502,16 @@ def _join_certificates(
     return accepted, possible
 
 
+def _join_floor(evaluator: _Evaluator, bounds: tuple, ends: Ends) -> int:
+    """``_join_certificates``' accepted mask from link-cost ``bounds`` alone, where every node is within reach: the new
+    peer comes to 1 hop from 2 or more, no other moves away and bridging does not rise, so the gain is at least the
+    peer's weight. Parts before are the ceiling (every peer h hops away, bridging n - 1), after it less the peer's hop."""
+    n, n_ic, h, cfg = evaluator.n, evaluator.n_ic, evaluator.h, evaluator.cfg
+    ic = bool(evaluator.bit[ends[0][0]] & evaluator.ic_mask)
+    ceiling, closer = (n_ic * h, (n - n_ic) * h, n - 1.0, 0), (n_ic * h - ic, (n - n_ic) * h - (not ic), n - 1.0, 0)
+    return _join_certificates(cfg.alpha, cfg.gamma, evaluator.tolerance, bounds, ceiling, closer, ends)[0]
+
+
 def _resolved_delta(before: State, after: State) -> float:
     """Signed delta of an improvement ``after < before``; one between two infinite states resolves to -inf."""
     return -math.inf if math.isinf(before[0]) and math.isinf(after[0]) else after[0] - before[0]
@@ -774,9 +784,11 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
 
     Only closed subsets S of feasible pairs are walked: otherwise an absent pair joins two components, which
     improves both ends. Parts do not depend on pairings: adding pair ``p`` gives its ends their parts at ``S | p``,
-    severing it at ``S - p``, read on demand from the subset's masks. Certificates (``_join_certificates``) read
-    them and bounds on the ends' link costs: S is skipped when an absent pair improves both ends at every pair of
-    their combinations, and a pair that improves no pairing at one end is dropped. Each pairing choice of S is then
+    severing it at ``S - p``, read on demand from the subset's masks. When every closed S reaches every node within
+    the hop cap (``h_max >= n - 1`` and the feasible pairs connect all nodes), S is first skipped if the floor
+    (``_join_floor``), from the ends' link-cost bounds alone, shows an absent pair improves both ends at every pair of
+    their combinations. Else certificates (``_join_certificates``) read the parts and the same bounds: S is skipped
+    likewise, and a pair that improves no pairing at one end is dropped. Each pairing choice of S is then
     checked exactly against every cut and the pairs left, priced per combination of a node's links in rows reused
     wherever the node, the move, its linked pairs and its parts before and after recur. Refuses scenarios over
     ``max_nodes``: masks grow as 2^pairs. Raises ValueError when the scenario is invalid (``_Evaluator``).
@@ -836,9 +848,18 @@ def brute_force_stable_set(scenario: Scenario, max_nodes: int = 6) -> set[Topolo
             absent.append(pair_order[k] + (k,))
         return bool(accepted)
 
+    reachable = evaluator.h >= evaluator.n - 1 and not parts(len(nears) - 1, scenario.ids[0])[3]  # at every closed S
+    floor = functools.cache(lambda i, k, linked: _join_floor(evaluator, bounds(i, linked), sides[i, k]))
+
     stable: set[Topology] = set()
     blockers = list(range(len(pair_order)))  # the pair that blocked most recently first
     for subset in itertools.compress(range(len(nears)), closed):
+        if reachable and any(
+            floor(a, k, subset & owned[a]) & floor(b, k, subset & owned[b])
+            for k, (a, b) in enumerate(pair_order)
+            if not subset >> k & 1
+        ):
+            continue
         absent = []  # (a, b, k) per absent pair k that the certificates leave open, within S
         blocker = next((k for k in blockers if not subset >> k & 1 and blocks(k, subset, absent)), None)
         if blocker is not None:

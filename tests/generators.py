@@ -326,3 +326,15 @@ def overflowing_unit_scenario(count: int = 2) -> Scenario:
         make_node(2, (5.0e3, 8.66e3), (radio,), b_min=1.0e6),
     )
     return Scenario(nodes[:count], GameConfig(gamma=10.0))
+
+
+def out_of_reach_scenario() -> Scenario:
+    """Five mesh nodes at h_max 2 whose feasible pairs reach every node within 2 hops, though the closed tree
+    0-1, 1-2, 1-3, 3-4 leaves 4 at 3 hops from 0 and 2. Nodes 0 and 2 transmit at 10 mW, so neither reaches 4;
+    nodes 1 and 3 pay a high energy weight, so neither gains by adding a link to the tree."""
+    weak = make_iface("mesh", 1.0e9, 1.0e6, 0.01, 1e-9)
+    radios = (weak, MESH, weak, MESH, MESH)
+    spots = ((-20.0, 0.0), (0.0, 0.0), (-20.0, 10.0), (20.0, 0.0), (100.0, 0.0))
+    rhos = (1.0, 1e5, 1.0, 1e5, 1.0)
+    nodes = tuple(make_node(i, spots[i], (radios[i],), rho=rhos[i]) for i in range(5))
+    return Scenario(nodes, GameConfig(gamma=10.0, h_max=2))

@@ -7,8 +7,9 @@ stability check must report exactly the oracle's deviations, on both a
 family that severs links (``fixture_sample_scenario``) and one that does not
 (``free_scenario``). So must every single-deviation query, and the parts
 that the enumeration reads from each pair subset's neighbourhood masks must
-equal the engine's grown and severed parts, and its addition certificates must
-agree with exact pricing at every pairing combination they decide. The scans'
+equal the engine's grown and severed parts, and its addition certificates, the
+floor from link costs alone among them, must agree with exact pricing at every
+pairing combination they decide. The scans'
 certificates must never refute a move that exact pricing finds improving. Parts
 hold no gamma: they must be the same at every gamma, which only ``_state`` applies.
 So rows that share their link sets' gamma-free passes (``game._sharing``) must
@@ -253,9 +254,8 @@ def test_parts_are_the_same_at_every_gamma():
         assert seen[0] == seen[1] == seen[2]
 
 
-def test_join_certificates_agree_with_exact_pricing():
-    # for every closed subset, node and absent pair of the node: each pairing of the pair that the certificates
-    # accept improves the node at every pairing combination of its links, and each they rule out at none
+def join_certificate_cases():
+    """The scenarios the enumeration's certificates are checked on."""
     scenarios = [free_scenario(seed, max_nodes=4) for seed in range(8)]
     scenarios += [multi_radio_scenario(), split_scenario(), isolated_scenario()]
     cases = [Scenario(s.nodes, dataclasses.replace(s.config, h_max=h_max)) for s in scenarios for h_max in (1, 2, 5)]
@@ -265,41 +265,85 @@ def test_join_certificates_agree_with_exact_pricing():
     small = [case.scenario for case in workload_scenarios.generate(model, propagation, 0, 4)]
     cases += [Scenario(s.nodes[:count], s.config) for s in small for count in (4, 5)]
     cases += [Scenario(sample.nodes[:4], sample.config) for sample, _ in map(fixture_sample_scenario, range(4))]
+    return cases
+
+
+def absent_pair_ends(empty):
+    """Per closed subset S of ``empty``'s scenario (an evaluator with no links), absent pair k and end i of k:
+    (S, k, i, i's end of each linked pair per pairing, i's end of k per pairing, i's parts at S and at S | k)."""
+    pairings = empty.pairings
+    pair_order = sorted(pairings)
+    nears, closed = game._subset_masks(empty, pair_order)
+
+    def ends(i, pair):  # i's end of ``pair``, per pairing
+        side = pair.index(i)
+        return [(pair[1 - side], option[side], option[side + 2]) for option in pairings[pair]]
+
+    for subset in itertools.compress(range(len(nears)), closed):
+        for k, pair in enumerate(pair_order):
+            if subset >> k & 1:
+                continue
+            for i in pair:
+                linked = [ends(i, other) for m, other in enumerate(pair_order) if subset >> m & 1 and i in other]
+                before, after = empty.masked_parts(nears[subset], i), empty.masked_parts(nears[subset | 1 << k], i)
+                yield subset, k, i, linked, ends(i, pair), before, after
+
+
+def priced(config, own, parts):
+    """A node's state by ``_state`` from its link ends ``own``, in any order, and its parts."""
+    return game._state(config.gamma, game._link_cost(config.alpha, game._unit_sums(sorted(own))), *parts)
+
+
+def test_join_certificates_agree_with_exact_pricing():
+    # for every closed subset, node and absent pair of the node: each pairing of the pair that the certificates
+    # accept improves the node at every pairing combination of its links, and each they rule out at none
     decided = collections.Counter()
-    for scenario in cases:
-        alpha, gamma, pairings = scenario.config.alpha, scenario.config.gamma, game.pairing_table(scenario)
-        pair_order = sorted(pairings)
-        empty = game._Evaluator(scenario)
-        nears, closed = game._subset_masks(empty, pair_order)
-
-        def ends(i, pair):  # i's end of ``pair``, per pairing
-            side = pair.index(i)
-            return [(pair[1 - side], option[side], option[side + 2]) for option in pairings[pair]]
-
-        def price(own, parts):
-            return game._state(gamma, game._link_cost(alpha, game._unit_sums(sorted(own))), *parts)
-
-        for subset in itertools.compress(range(len(nears)), closed):
-            for k, pair in enumerate(pair_order):
-                if subset >> k & 1:
-                    continue
-                for i in pair:
-                    linked = [ends(i, other) for m, other in enumerate(pair_order) if subset >> m & 1 and i in other]
-                    before, after = empty.masked_parts(nears[subset], i), empty.masked_parts(nears[subset | 1 << k], i)
-                    bounds = game._interface_bounds(alpha, linked)
-                    accepted, possible = game._join_certificates(
-                        alpha, gamma, empty.tolerance, bounds, before, after, ends(i, pair)
-                    )
-                    for j, end in enumerate(ends(i, pair)):
-                        improves = {price([*own, end], after) < price(own, before) for own in itertools.product(*linked)}
-                        if accepted >> j & 1:
-                            assert improves == {True}, (scenario, subset, k, i, j)
-                            decided["accepted"] += 1
-                        if not possible >> j & 1:
-                            assert improves == {False}, (scenario, subset, k, i, j)
-                            decided["ruled out"] += 1
-                        decided["pairings"] += 1
+    for scenario in join_certificate_cases():
+        alpha, gamma, empty = scenario.config.alpha, scenario.config.gamma, game._Evaluator(scenario)
+        for subset, k, i, linked, pairing_ends, before, after in absent_pair_ends(empty):
+            bounds = game._interface_bounds(alpha, linked)
+            accepted, possible = game._join_certificates(alpha, gamma, empty.tolerance, bounds, before, after, pairing_ends)
+            for j, end in enumerate(pairing_ends):
+                improves = {
+                    priced(scenario.config, [*own, end], after) < priced(scenario.config, own, before)
+                    for own in itertools.product(*linked)
+                }
+                if accepted >> j & 1:
+                    assert improves == {True}, (scenario, subset, k, i, j)
+                    decided["accepted"] += 1
+                if not possible >> j & 1:
+                    assert improves == {False}, (scenario, subset, k, i, j)
+                    decided["ruled out"] += 1
+                decided["pairings"] += 1
     assert decided["accepted"] > 100 and decided["ruled out"] > 10, decided
+
+
+def test_join_floor_accepts_only_improving_pairings():
+    # where every closed subset reaches every node within the hop cap (h_max >= n - 1 and the feasible pairs connect
+    # every node), each pairing that the floor accepts from link-cost bounds alone improves the node at every pairing
+    # combination of its links, and the certificates over its exact parts accept it too
+    decided = collections.Counter()
+    for scenario in join_certificate_cases():
+        alpha, gamma, empty = scenario.config.alpha, scenario.config.gamma, game._Evaluator(scenario)
+        if scenario.config.h_max < empty.n - 1 or len(set(components(scenario.ids, empty.pairings).values())) > 1:
+            continue
+        decided["cases"] += 1
+        for subset, k, i, linked, pairing_ends, before, after in absent_pair_ends(empty):
+            assert not before[3] and not after[3]
+            bounds = game._interface_bounds(alpha, linked)
+            floor = game._join_floor(empty, bounds, pairing_ends)
+            accepted, _ = game._join_certificates(alpha, gamma, empty.tolerance, bounds, before, after, pairing_ends)
+            assert floor & ~accepted == 0, (scenario, subset, k, i)
+            for j, end in enumerate(pairing_ends):
+                if floor >> j & 1:
+                    improves = {
+                        priced(scenario.config, [*own, end], after) < priced(scenario.config, own, before)
+                        for own in itertools.product(*linked)
+                    }
+                    assert improves == {True}, (scenario, subset, k, i, j)
+                    decided["accepted"] += 1
+                decided["pairings"] += 1
+    assert decided == {"cases": 33, "pairings": 15798, "accepted": 7760}, decided
 
 
 def scan_certificate_cases():

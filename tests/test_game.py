@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from linkform import game, propagation
 from linkform.cli import fixture_path, load_scenario, trace_to_jsonl
-from linkform.cost import total_cost
+from linkform.cost import hop_distances, total_cost
 from linkform.criteria import criteria_report
 from linkform.game import (
     DEFAULT_MAX_MOVES,
@@ -48,6 +48,7 @@ from generators import (
     free_scenario,
     isolated_scenario,
     multi_radio_scenario,
+    out_of_reach_scenario,
     overflowing_unit_scenario,
     pinned_order_nodes,
     random_graph_scenario,
@@ -1005,6 +1006,23 @@ def test_brute_force_equals_oracle_at_small_hop_caps():
                 if stability_oracle(Topology(scenario.nodes, links), config)[0]
             }
             assert {topology.links for topology in brute_force_stable_set(Scenario(scenario.nodes, config))} == expected
+
+
+def test_brute_force_equals_oracle_where_a_closed_subset_leaves_peers_out_of_reach():
+    # the feasible pairs reach every node within h_max = 2 < n - 1, but the closed tree 0-1, 1-2, 1-3, 3-4 leaves
+    # 0 and 2 a peer out of reach, and a link 0-2 brings none into reach; the tree is stable, however cheap 0-2 is
+    scenario = out_of_reach_scenario()
+    pairings = feasible_pairings(scenario)
+    assert sorted(pairings) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+    full = Topology(scenario.nodes, frozenset(Link(a, 0, b, 0) for a, b in pairings))
+    assert all(max(hop_distances(full, node).values()) <= 2 for node in scenario.nodes)
+    tree = frozenset(Link(a, 0, b, 0) for a, b in ((0, 1), (1, 2), (1, 3), (3, 4)))
+    assert max(hop_distances(Topology(scenario.nodes, tree), scenario.node(0)).values()) == 3
+    expected = {
+        links for links in all_link_sets(scenario) if stability_oracle(Topology(scenario.nodes, links), scenario.config)[0]
+    }
+    assert tree in expected
+    assert {topology.links for topology in brute_force_stable_set(scenario)} == expected
 
 
 def test_fixed_points_belong_to_stable_set():
